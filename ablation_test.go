@@ -11,6 +11,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/geom"
 	"repro/internal/labs"
+	otrace "repro/internal/obs/trace"
 	"repro/internal/rules"
 	"repro/internal/state"
 	"repro/internal/workflow"
@@ -49,7 +50,7 @@ func BenchmarkAblation_TargetCheckVsSweep(b *testing.B) {
 	})
 	b.Run("full-sweep", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := sys.Simulator.ValidTrajectory(cmd, model); err != nil {
+			if _, err := sys.Simulator.ValidTrajectory(cmd, model, otrace.SpanContext{}); err != nil {
 				b.Fatal(err)
 			}
 		}

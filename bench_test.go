@@ -15,6 +15,7 @@ import (
 	"repro/internal/env"
 	"repro/internal/eval"
 	"repro/internal/geom"
+	otrace "repro/internal/obs/trace"
 	"repro/internal/radmine"
 	"repro/internal/rules"
 	"repro/internal/state"
@@ -170,7 +171,7 @@ func BenchmarkFig3_ExtendedSimulator(b *testing.B) {
 	cmd := action.Command{Device: "viperx", Action: action.MoveRobot, Target: geom.V(0.32, 0.22, 0.25)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sys.Simulator.ValidTrajectory(cmd, model); err != nil {
+		if _, err := sys.Simulator.ValidTrajectory(cmd, model, otrace.SpanContext{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -188,7 +189,7 @@ func BenchmarkFig3_ExtendedSimulatorGUI(b *testing.B) {
 	cmd := action.Command{Device: "viperx", Action: action.MoveRobot, Target: geom.V(0.32, 0.22, 0.25)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sys.Simulator.ValidTrajectory(cmd, model); err != nil {
+		if _, err := sys.Simulator.ValidTrajectory(cmd, model, otrace.SpanContext{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -213,7 +214,7 @@ func BenchmarkSimBroadphase(b *testing.B) {
 			cmd := action.Command{Device: "viperx", Action: action.MoveRobot, Target: geom.V(0.32, 0.22, 0.25)}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := sys.Simulator.ValidTrajectory(cmd, model); err != nil {
+				if _, err := sys.Simulator.ValidTrajectory(cmd, model, otrace.SpanContext{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -242,7 +243,7 @@ func BenchmarkSimParallel(b *testing.B) {
 		sys, model := newSim(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := sys.Simulator.ValidTrajectory(cmds[i%2], model); err != nil {
+			if _, err := sys.Simulator.ValidTrajectory(cmds[i%2], model, otrace.SpanContext{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -256,7 +257,7 @@ func BenchmarkSimParallel(b *testing.B) {
 			go func(cmd action.Command) {
 				defer wg.Done()
 				for i := 0; i < b.N/2; i++ {
-					if err := sys.Simulator.ValidTrajectory(cmd, model); err != nil {
+					if _, err := sys.Simulator.ValidTrajectory(cmd, model, otrace.SpanContext{}); err != nil {
 						b.Error(err)
 						return
 					}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/geom"
 	"repro/internal/labs"
+	otrace "repro/internal/obs/trace"
 	"repro/internal/sim"
 )
 
@@ -69,7 +70,7 @@ func run() error {
 		Target: geom.V(*x, *y, *z),
 	}
 	model := lab.InitialModelState()
-	if err := s.ValidTrajectory(cmd, model); err != nil {
+	if _, err := s.ValidTrajectory(cmd, model, otrace.SpanContext{}); err != nil {
 		fmt.Println("INVALID TRAJECTORY:", err)
 	} else {
 		fmt.Printf("trajectory of %s to (%.3f, %.3f, %.3f) is valid\n", *armID, *x, *y, *z)

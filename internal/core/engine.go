@@ -134,9 +134,12 @@ var ErrStopped = errors.New("core: experiment stopped by a previous RABIT alert"
 var ErrDraining = errors.New("core: engine draining; command rejected")
 
 // TrajectoryValidator is the Extended Simulator's interface (Fig. 2,
-// lines 8–10). Observe lets the simulator mirror accepted commands.
+// lines 8–10). ValidTrajectory returns the verdict together with its
+// provenance for the flight recorder, and parents the simulator's child
+// spans under parent (a zero context when the command is untraced).
+// Observe lets the simulator mirror accepted commands.
 type TrajectoryValidator interface {
-	ValidTrajectory(cmd action.Command, model state.Snapshot) error
+	ValidTrajectory(cmd action.Command, model state.Snapshot, parent otrace.SpanContext) (recorder.Verdict, error)
 	Observe(cmd action.Command, model state.Snapshot)
 }
 
@@ -239,14 +242,12 @@ type Engine struct {
 	model   state.Snapshot // S_current: observed facts + dead-reckoned model
 
 	// Motion fast path (see speculate.go): the simulator's deck-epoch and
-	// speculation surfaces when it offers them, the single-flight gate and
+	// speculation surface when it offers one, the single-flight gate and
 	// drain group for the lookahead worker.
-	epocher    deckEpocher
-	spec       speculator
-	specTagged speculatorTagged
-	specOff    bool
-	specBusy   atomic.Bool
-	specWG     sync.WaitGroup
+	spec     deckSpeculator
+	specOff  bool
+	specBusy atomic.Bool
+	specWG   sync.WaitGroup
 
 	// pending is S_expected for the in-flight global-path command(s),
 	// layered over the model copy-on-write. Concurrent batches chain
@@ -256,21 +257,15 @@ type Engine struct {
 
 	// Flight recorder (see record.go): rec is the black box, pendingRecs
 	// the open records of the in-flight global batch (guarded by mu, like
-	// pending), provSim the simulator's provenance surface when it offers
-	// one.
+	// pending).
 	rec         *recorder.Recorder
 	pendingRecs []*recorder.Active
-	provSim     provValidator
 
 	// Causal tracing & safety SLOs (see tracing.go): tracer resolves the
-	// (device, seq) → span bindings the interceptor published; tracedSim
-	// and tracedSpec are the simulator's traced surfaces when it offers
-	// them; slos feeds the check-overhead and detection-latency
-	// objectives. All nil-safe.
-	tracer     *otrace.Tracer
-	tracedSim  tracedValidator
-	tracedSpec tracedSpeculator
-	slos       *obs.SafetySLOs
+	// (device, seq) → span bindings the interceptor published; slos feeds
+	// the check-overhead and detection-latency objectives. Both nil-safe.
+	tracer *otrace.Tracer
+	slos   *obs.SafetySLOs
 
 	adminMu  sync.Mutex
 	started  bool
@@ -340,16 +335,7 @@ func New(rb *rules.Rulebase, env Environment, opts ...Option) *Engine {
 	}
 	// The motion fast path engages only when the simulator carries a deck
 	// epoch — without it there is no sound pairing to speculate against.
-	e.epocher, _ = e.sim.(deckEpocher)
-	if e.epocher != nil {
-		e.spec, _ = e.sim.(speculator)
-		e.specTagged, _ = e.sim.(speculatorTagged)
-	}
-	e.provSim, _ = e.sim.(provValidator)
-	e.tracedSim, _ = e.sim.(tracedValidator)
-	if e.epocher != nil {
-		e.tracedSpec, _ = e.sim.(tracedSpeculator)
-	}
+	e.spec, _ = e.sim.(deckSpeculator)
 	return e
 }
 
@@ -369,9 +355,9 @@ func (e *Engine) Start() {
 	observed := e.env.FetchState()
 	e.stateMu.Lock()
 	e.model = e.seed.Merge(observed)
-	if e.epocher != nil {
+	if e.spec != nil {
 		// The whole model was rebuilt; every cached verdict is suspect.
-		e.epocher.BumpDeckEpoch()
+		e.spec.BumpDeckEpoch()
 	}
 	e.stateMu.Unlock()
 	e.adminMu.Lock()
@@ -614,25 +600,16 @@ func (e *Engine) beforeGlobal(cmd action.Command, start time.Time, fs **Alert) e
 	}
 	e.stageSpan(tctx, obs.StageValidate, start, validateEnd, nil)
 	if cmd.Action.IsRobotMotion() && e.sim != nil {
-		var err error
 		// The trajectory span is the one pre-created (not retroactive)
 		// span: the simulator's kin/sim child spans need its context
 		// before the call runs.
 		tspan := e.tracer.StartSpanAt(tctx, obs.StageTrajectory, validateEnd)
 		e.stateMu.RLock()
-		switch {
-		case tspan != nil && e.tracedSim != nil:
-			var v recorder.Verdict
-			v, err = e.tracedSim.ValidTrajectoryTraced(cmd, e.model, tspan.Context())
-			if act != nil {
-				act.R.Verdict = v
-			}
-		case act != nil && e.provSim != nil:
-			act.R.Verdict, err = e.provSim.ValidTrajectoryProv(cmd, e.model)
-		default:
-			err = e.sim.ValidTrajectory(cmd, e.model)
-		}
+		v, err := e.sim.ValidTrajectory(cmd, e.model, tspan.Context())
 		e.stateMu.RUnlock()
+		if act != nil {
+			act.R.Verdict = v
+		}
 		trajEnd := time.Now()
 		td := trajEnd.Sub(validateEnd)
 		e.hTrajectory.ObserveExemplar(td, traceID)

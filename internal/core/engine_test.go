@@ -8,6 +8,9 @@ import (
 
 	"repro/internal/action"
 	"repro/internal/geom"
+	"repro/internal/obs"
+	"repro/internal/obs/recorder"
+	otrace "repro/internal/obs/trace"
 	"repro/internal/rules"
 	"repro/internal/state"
 )
@@ -68,16 +71,20 @@ func (fakeLab) FloorZ(a string) float64                            { return -10 
 func (fakeLab) Walls(a string) []geom.Plane                        { return nil }
 func (fakeLab) Zone(a string) (geom.Plane, bool)                   { return geom.Plane{}, false }
 
-// fakeSim scripts trajectory validation.
+// fakeSim scripts trajectory validation and records the parent span
+// context each check received.
 type fakeSim struct {
 	err      error
+	verdict  recorder.Verdict
 	checked  []action.Command
+	parents  []otrace.SpanContext
 	observed []action.Command
 }
 
-func (f *fakeSim) ValidTrajectory(cmd action.Command, model state.Snapshot) error {
+func (f *fakeSim) ValidTrajectory(cmd action.Command, model state.Snapshot, parent otrace.SpanContext) (recorder.Verdict, error) {
 	f.checked = append(f.checked, cmd)
-	return f.err
+	f.parents = append(f.parents, parent)
+	return f.verdict, f.err
 }
 
 func (f *fakeSim) Observe(cmd action.Command, model state.Snapshot) {
@@ -209,6 +216,10 @@ func TestEngineTrajectoryValidatorWiring(t *testing.T) {
 	if len(sim.checked) != 1 || len(sim.observed) != 1 {
 		t.Fatalf("simulator hooks: checked=%d observed=%d", len(sim.checked), len(sim.observed))
 	}
+	// Without a tracer the one check runs under a zero parent.
+	if sim.parents[0] != (otrace.SpanContext{}) {
+		t.Errorf("untraced check got parent %+v, want zero", sim.parents[0])
+	}
 	// Non-motion commands bypass the simulator.
 	door := action.Command{Device: "dd", Action: action.OpenDoor}
 	if err := e.Before(door); err != nil {
@@ -216,6 +227,56 @@ func TestEngineTrajectoryValidatorWiring(t *testing.T) {
 	}
 	if len(sim.checked) != 1 {
 		t.Error("non-motion command reached the simulator")
+	}
+
+	// With a tracer and a recorder attached, the one check runs under the
+	// command's trajectory span and its verdict lands in the command's
+	// flight record.
+	want := recorder.Verdict{Source: recorder.SourceSpeculative, EpochAtValidation: 7, SpecCorr: "s-9"}
+	sim = &fakeSim{verdict: want}
+	tr := otrace.NewTracer(otrace.Options{SampleRate: 1, Seed: 1})
+	rec := recorder.New(recorder.Options{Depth: 64})
+	e = newEngine(env, WithSimulator(sim), WithTracer(tr), WithRecorder(rec))
+	move.Seq = 1
+	id := tr.StartTrace()
+	root := tr.StartRoot(id, "command")
+	tr.Bind(move.Device, move.Seq, root.Context())
+	if err := e.Before(move); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.After(move); err != nil {
+		t.Fatal(err)
+	}
+	tr.Unbind(move.Device, move.Seq)
+	root.End()
+	tr.FinishTrace(id)
+
+	if len(sim.checked) != 1 {
+		t.Fatalf("traced checks = %d, want exactly 1", len(sim.checked))
+	}
+	parent := sim.parents[0]
+	if !parent.Valid() || parent.Trace != id {
+		t.Fatalf("traced check got parent %+v, want a span in trace %v", parent, id)
+	}
+	td := tr.Find(id)
+	if td == nil {
+		t.Fatal("trace not retained")
+	}
+	var traj *otrace.SpanData
+	for i := range td.Spans {
+		if td.Spans[i].Name == obs.StageTrajectory {
+			traj = &td.Spans[i]
+		}
+	}
+	if traj == nil || traj.Context() != parent {
+		t.Errorf("check parent %+v is not the %s span (%+v)", parent, obs.StageTrajectory, traj)
+	}
+	win := rec.Window()
+	if len(win) != 1 {
+		t.Fatalf("recorder window = %d records, want 1", len(win))
+	}
+	if win[0].Verdict != want {
+		t.Errorf("recorded verdict %+v, want the simulator's %+v", win[0].Verdict, want)
 	}
 }
 

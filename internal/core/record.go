@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/action"
 	"repro/internal/obs/recorder"
-	"repro/internal/state"
 )
 
 // Flight-recorder glue. The engine is where every forensic fact is in
@@ -18,14 +17,6 @@ import (
 // WithRecorder attaches a flight recorder to the engine.
 func WithRecorder(r *recorder.Recorder) Option {
 	return func(e *Engine) { e.rec = r }
-}
-
-// provValidator is an optional TrajectoryValidator extension: the check
-// additionally reports where its verdict came from (cold solve, cache
-// hit, speculative pre-validation) for the flight recorder. Verdicts
-// must be identical to ValidTrajectory's.
-type provValidator interface {
-	ValidTrajectoryProv(cmd action.Command, model state.Snapshot) (recorder.Verdict, error)
 }
 
 // beginRecord opens a command record: correlation ID, rendered command,

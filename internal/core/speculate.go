@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/action"
 	"repro/internal/obs/recorder"
+	otrace "repro/internal/obs/trace"
 	"repro/internal/rules"
 	"repro/internal/state"
 	"repro/internal/trace"
@@ -20,22 +21,17 @@ import (
 // speculative lookahead that pre-validates the next queued motion against
 // a (model, epoch) pairing captured under the same lock.
 
-// deckEpocher is the simulator's epoch surface (see sim.Simulator).
-type deckEpocher interface {
+// deckSpeculator is the simulator's optional motion fast-path surface
+// (see sim.Simulator): the deck epoch that keys its verdict cache, and
+// the speculative lookahead that pre-solves and pre-validates a queued
+// motion command. A non-empty corr tags the cached verdict with the
+// speculation's correlation ID, so the check that later consumes it can
+// name the speculation; a valid parent joins the lookahead's child spans
+// to the hinting command's trace.
+type deckSpeculator interface {
 	DeckEpoch() uint64
 	BumpDeckEpoch()
-}
-
-// speculator pre-solves and pre-validates a queued motion command.
-type speculator interface {
-	SpeculateAfter(prior, next action.Command, model state.Snapshot, epoch uint64) bool
-}
-
-// speculatorTagged is the flight-recorder extension of speculator: the
-// cached verdict carries the speculation's correlation ID so the check
-// that later consumes it can name the speculative span.
-type speculatorTagged interface {
-	SpeculateAfterTagged(prior, next action.Command, model state.Snapshot, epoch uint64, corr string) bool
+	SpeculateAfter(prior, next action.Command, model state.Snapshot, epoch uint64, corr string, parent otrace.SpanContext) bool
 }
 
 var _ trace.Hinter = (*Engine)(nil)
@@ -58,7 +54,7 @@ func WithSpeculation(on bool) Option {
 func (e *Engine) commitModel(pending *state.Overlay, observed state.Snapshot, cmd action.Command) uint64 {
 	e.stateMu.Lock()
 	deckChanged := false
-	detect := e.epocher != nil
+	detect := e.spec != nil
 	if pending != nil {
 		if detect {
 			deckChanged = overlayChangesDeck(pending, e.model)
@@ -74,11 +70,11 @@ func (e *Engine) commitModel(pending *state.Overlay, observed state.Snapshot, cm
 		e.model[k] = v
 	}
 	if deckChanged {
-		e.epocher.BumpDeckEpoch()
+		e.spec.BumpDeckEpoch()
 	}
 	var epoch uint64
 	if detect {
-		epoch = e.epocher.DeckEpoch()
+		epoch = e.spec.DeckEpoch()
 	}
 	if e.sim != nil && cmd.Action.IsRobotMotion() {
 		e.sim.Observe(cmd, e.model)
@@ -145,7 +141,7 @@ func (e *Engine) Hint(cur, next action.Command) {
 		defer e.specBusy.Store(false)
 		e.stateMu.RLock()
 		model := e.model.Clone()
-		epoch := e.epocher.DeckEpoch()
+		epoch := e.spec.DeckEpoch()
 		e.stateMu.RUnlock()
 		spec := e.rec.BeginSpec(parent, next)
 		specStart := time.Now()
@@ -162,20 +158,11 @@ func (e *Engine) Hint(cur, next action.Command) {
 				spec.R.Trace = tctx.Trace.String()
 			}
 		}
-		useTraced := sspan != nil && e.tracedSpec != nil
-		if spec != nil && (useTraced || e.specTagged != nil) {
+		if spec != nil {
 			spec.R.TNS = e.env.Now().Nanoseconds()
 			spec.R.Verdict = recorder.Verdict{Source: recorder.SourceSpeculative, EpochAtValidation: epoch}
 		}
-		var ran bool
-		switch {
-		case useTraced:
-			ran = e.tracedSpec.SpeculateAfterTraced(cur, next, model, epoch, corr, sspan.Context())
-		case spec != nil && e.specTagged != nil:
-			ran = e.specTagged.SpeculateAfterTagged(cur, next, model, epoch, corr)
-		default:
-			ran = e.spec.SpeculateAfter(cur, next, model, epoch)
-		}
+		ran := e.spec.SpeculateAfter(cur, next, model, epoch, corr, sspan.Context())
 		if ran {
 			e.cSpeculations.Inc()
 		}

@@ -7,6 +7,8 @@ import (
 	"repro/internal/action"
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/obs/recorder"
+	otrace "repro/internal/obs/trace"
 	"repro/internal/state"
 )
 
@@ -24,6 +26,8 @@ type specCall struct {
 	prior, next action.Command
 	model       state.Snapshot
 	epoch       uint64
+	corr        string
+	parent      otrace.SpanContext
 }
 
 func (f *epochSim) DeckEpoch() uint64 {
@@ -38,12 +42,13 @@ func (f *epochSim) BumpDeckEpoch() {
 	f.mu.Unlock()
 }
 
-func (f *epochSim) SpeculateAfter(prior, next action.Command, model state.Snapshot, epoch uint64) bool {
+func (f *epochSim) SpeculateAfter(prior, next action.Command, model state.Snapshot,
+	epoch uint64, corr string, parent otrace.SpanContext) bool {
 	if f.block != nil {
 		<-f.block
 	}
 	f.mu.Lock()
-	f.specs = append(f.specs, specCall{prior: prior, next: next, model: model, epoch: epoch})
+	f.specs = append(f.specs, specCall{prior: prior, next: next, model: model, epoch: epoch, corr: corr, parent: parent})
 	f.mu.Unlock()
 	return true
 }
@@ -142,6 +147,10 @@ func TestHintRunsSpeculativeLookahead(t *testing.T) {
 	if specs[0].epoch != sim.DeckEpoch() {
 		t.Errorf("speculation captured epoch %d, current %d", specs[0].epoch, sim.DeckEpoch())
 	}
+	// Without a recorder or tracer the call is untagged and unparented.
+	if specs[0].corr != "" || specs[0].parent != (otrace.SpanContext{}) {
+		t.Errorf("untraced speculation got corr %q parent %+v, want both zero", specs[0].corr, specs[0].parent)
+	}
 	if _, ok := specs[0].model[state.DoorStatus("dd")]; !ok {
 		t.Error("speculation model clone is missing the engine's model facts")
 	}
@@ -160,6 +169,60 @@ func TestHintRunsSpeculativeLookahead(t *testing.T) {
 	e.WaitSpeculation()
 	if got := len(sim.speculations()); got != 1 {
 		t.Errorf("non-motion hint speculated (%d)", got)
+	}
+}
+
+// TestHintPassesCorrAndSpan: with a recorder and a tracer attached, Hint
+// hands the simulator the speculation record's correlation ID and the
+// "speculate" span's context, so the cached verdict and its child spans
+// are attributable to the lookahead that produced them.
+func TestHintPassesCorrAndSpan(t *testing.T) {
+	sim := &epochSim{}
+	env := &fakeEnv{observed: state.Snapshot{state.DoorStatus("dd"): state.Bool(false)}}
+	tr := otrace.NewTracer(otrace.Options{SampleRate: 1, Seed: 1})
+	rec := recorder.New(recorder.Options{Depth: 64})
+	e := newEngine(env, WithSimulator(sim), WithTracer(tr), WithRecorder(rec))
+
+	cur := action.Command{Device: "arm", Action: action.MoveRobot, Target: geom.V(0.2, 0.1, 0.2), Seq: 1}
+	next := action.Command{Device: "arm", Action: action.MoveRobot, Target: geom.V(0.3, 0.1, 0.2), Seq: 2}
+	id := tr.StartTrace()
+	root := tr.StartRoot(id, "command")
+	tr.Bind(cur.Device, cur.Seq, root.Context())
+	e.Hint(cur, next)
+	e.WaitSpeculation()
+	tr.Unbind(cur.Device, cur.Seq)
+	root.End()
+	tr.FinishTrace(id)
+
+	specs := sim.speculations()
+	if len(specs) != 1 {
+		t.Fatalf("speculations = %d, want 1", len(specs))
+	}
+	var specRec *recorder.Record
+	win := rec.Window()
+	for i := range win {
+		if win[i].Kind == recorder.KindSpeculation {
+			specRec = &win[i]
+		}
+	}
+	if specRec == nil {
+		t.Fatal("no speculation record in the window")
+	}
+	if specs[0].corr == "" || specs[0].corr != specRec.Corr {
+		t.Errorf("speculation corr %q, want the record's %q", specs[0].corr, specRec.Corr)
+	}
+	td := tr.Find(id)
+	if td == nil {
+		t.Fatal("trace not retained")
+	}
+	var sspan *otrace.SpanData
+	for i := range td.Spans {
+		if td.Spans[i].Name == "speculate" {
+			sspan = &td.Spans[i]
+		}
+	}
+	if sspan == nil || !specs[0].parent.Valid() || specs[0].parent != sspan.Context() {
+		t.Errorf("speculation parent %+v is not the speculate span (%+v)", specs[0].parent, sspan)
 	}
 }
 

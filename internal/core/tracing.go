@@ -5,9 +5,8 @@ import (
 
 	"repro/internal/action"
 	"repro/internal/obs"
-	otrace "repro/internal/obs/trace"
 	"repro/internal/obs/recorder"
-	"repro/internal/state"
+	otrace "repro/internal/obs/trace"
 )
 
 // Causal-tracing and safety-SLO glue. The interceptor owns the run
@@ -32,21 +31,6 @@ func WithTracer(t *otrace.Tracer) Option {
 // the check-overhead objective, every alert the detection-latency one.
 func WithSLOs(s *obs.SafetySLOs) Option {
 	return func(e *Engine) { e.slos = s }
-}
-
-// tracedValidator is the causal-tracing extension of the trajectory
-// check: the simulator parents its kin/sim child spans under the
-// intercepted command's trace. Verdicts must be identical to
-// ValidTrajectoryProv's.
-type tracedValidator interface {
-	ValidTrajectoryTraced(cmd action.Command, model state.Snapshot, parent otrace.SpanContext) (recorder.Verdict, error)
-}
-
-// tracedSpeculator is the causal-tracing extension of the speculative
-// lookahead: child spans of the speculation join the hinting command's
-// trace, so a verdict consumed later is causally attributable.
-type tracedSpeculator interface {
-	SpeculateAfterTraced(prior, next action.Command, model state.Snapshot, epoch uint64, corr string, parent otrace.SpanContext) bool
 }
 
 // stageSpan retroactively emits one completed stage span over

@@ -14,6 +14,7 @@ import (
 	"repro/internal/kin"
 	"repro/internal/labs"
 	"repro/internal/obs"
+	otrace "repro/internal/obs/trace"
 	"repro/internal/sim"
 	"repro/internal/state"
 )
@@ -165,7 +166,7 @@ func runCold(lab *config.Lab, mode, context string, streams map[string][]geom.Ve
 		for _, tgt := range streams[arm] {
 			cmd := action.Command{Device: arm, Action: action.MoveRobot, Target: tgt}
 			t0 := time.Now()
-			err := s.ValidTrajectory(cmd, state.Snapshot(nil))
+			_, err := s.ValidTrajectory(cmd, state.Snapshot(nil), otrace.SpanContext{})
 			*out = append(*out, time.Since(t0))
 			if err == nil {
 				ok++
@@ -248,7 +249,7 @@ func MotionCold(o ColdOptions) ([]ColdResult, error) {
 	}
 	for _, arm := range coldArms {
 		for _, tgt := range streams[arm] {
-			_ = warm.ValidTrajectory(action.Command{Device: arm, Action: action.MoveRobot, Target: tgt}, state.Snapshot(nil))
+			_, _ = warm.ValidTrajectory(action.Command{Device: arm, Action: action.MoveRobot, Target: tgt}, state.Snapshot(nil), otrace.SpanContext{})
 		}
 	}
 

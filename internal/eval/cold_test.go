@@ -9,6 +9,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/kin"
 	"repro/internal/labs"
+	otrace "repro/internal/obs/trace"
 	"repro/internal/state"
 )
 
@@ -81,12 +82,12 @@ func BenchmarkColdIndexWarmOverhead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := s.ValidTrajectory(cmd, state.Snapshot(nil)); err != nil {
+		if _, err := s.ValidTrajectory(cmd, state.Snapshot(nil), otrace.SpanContext{}); err != nil {
 			b.Fatalf("%s: unexpected verdict: %v", mode, err)
 		}
 		t0 := time.Now()
 		for i := 0; i < n; i++ {
-			if err := s.ValidTrajectory(cmd, state.Snapshot(nil)); err != nil {
+			if _, err := s.ValidTrajectory(cmd, state.Snapshot(nil), otrace.SpanContext{}); err != nil {
 				b.Fatalf("%s: unexpected verdict: %v", mode, err)
 			}
 		}

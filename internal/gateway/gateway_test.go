@@ -188,6 +188,34 @@ func TestGatewayEmbeddedParity(t *testing.T) {
 	}
 }
 
+// GET /v1/sessions/{id} reports how many commands the session's trace
+// holds: a batch that ends in a blocked command counts every command
+// that reached the interceptor, the blocked one included.
+func TestGatewaySessionInfoCommandCount(t *testing.T) {
+	_, srv := newTestGateway(t, Options{})
+	info := createSession(t, srv, CreateSessionRequest{
+		Spec: rawSpec(t, fleetSpec("info-count", 1)),
+	})
+	got, _ := postBatch(t, srv, info.SessionID, parityScript())
+	if len(got) == 0 || got[len(got)-1].Outcome != OutcomeBlocked {
+		t.Fatalf("batch verdicts %+v, want a final blocked verdict", got)
+	}
+	resp, err := http.Get(srv.URL + "/v1/sessions/" + info.SessionID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var after SessionInfo
+	if err := json.NewDecoder(resp.Body).Decode(&after); err != nil {
+		t.Fatal(err)
+	}
+	// Four ok commands plus the blocked one; the command queued behind
+	// the block never reaches the interceptor.
+	if want := len(parityScript()) - 1; after.Commands != want {
+		t.Fatalf("session info reports %d commands, want %d", after.Commands, want)
+	}
+}
+
 // Four lab tenants, several sessions each, all streaming concurrently:
 // every verdict lands ok, tenants stay isolated, and the pool reports
 // all four labs. Run under -race this is the multi-tenant soak.

@@ -61,7 +61,7 @@ func (g *Gateway) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, SessionInfo{
 		SessionID: s.id,
 		Lab:       s.tenant.lab,
-		Commands:  len(s.ic.Records()),
+		Commands:  s.ic.Len(),
 	})
 }
 

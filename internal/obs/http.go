@@ -98,49 +98,49 @@ func (g *Group) Handler() http.Handler {
 // metricsText renders every registered registry in a flat
 // `name{reg="…"} value` text form, one line per counter/gauge and a
 // summary block per histogram — enough for curl and for scrape tooling
-// that speaks the common text exposition idiom.
+// that speaks the common text exposition idiom. Label values are
+// escaped per that format (escapeLabel), not Go-quoted.
 func (g *Group) metricsText(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	summary := func(n, lbl string, h HistogramSnapshot) {
+		fmt.Fprintf(w, "rabit_%s_count{%s} %d\n", n, lbl, h.Count)
+		fmt.Fprintf(w, "rabit_%s_sum_ns{%s} %d\n", n, lbl, h.SumNS)
+		fmt.Fprintf(w, "rabit_%s_ns{%s,q=\"0.5\"} %d\n", n, lbl, h.P50NS)
+		fmt.Fprintf(w, "rabit_%s_ns{%s,q=\"0.95\"} %d\n", n, lbl, h.P95NS)
+		fmt.Fprintf(w, "rabit_%s_ns{%s,q=\"0.99\"} %d\n", n, lbl, h.P99NS)
+		fmt.Fprintf(w, "rabit_%s_ns{%s,q=\"max\"} %d\n", n, lbl, h.MaxNS)
+	}
 	for _, s := range g.Snapshots() {
+		reg := "reg=\"" + escapeLabel(s.Name) + "\""
 		for _, c := range s.Counters {
-			fmt.Fprintf(w, "rabit_%s{reg=%q} %d\n", sanitize(c.Name), s.Name, c.Value)
+			fmt.Fprintf(w, "rabit_%s{%s} %d\n", sanitize(c.Name), reg, c.Value)
 		}
 		for _, gg := range s.Gauges {
-			fmt.Fprintf(w, "rabit_%s{reg=%q} %d\n", sanitize(gg.Name), s.Name, gg.Value)
+			fmt.Fprintf(w, "rabit_%s{%s} %d\n", sanitize(gg.Name), reg, gg.Value)
 		}
 		for _, h := range s.Histograms {
 			n := sanitize(h.Name)
-			fmt.Fprintf(w, "rabit_%s_count{reg=%q} %d\n", n, s.Name, h.Count)
-			fmt.Fprintf(w, "rabit_%s_sum_ns{reg=%q} %d\n", n, s.Name, h.SumNS)
-			fmt.Fprintf(w, "rabit_%s_ns{reg=%q,q=\"0.5\"} %d\n", n, s.Name, h.P50NS)
-			fmt.Fprintf(w, "rabit_%s_ns{reg=%q,q=\"0.95\"} %d\n", n, s.Name, h.P95NS)
-			fmt.Fprintf(w, "rabit_%s_ns{reg=%q,q=\"0.99\"} %d\n", n, s.Name, h.P99NS)
-			fmt.Fprintf(w, "rabit_%s_ns{reg=%q,q=\"max\"} %d\n", n, s.Name, h.MaxNS)
+			summary(n, reg, h)
 			for _, b := range h.Buckets {
 				le := "+Inf"
 				if b.UpperNS > 0 {
 					le = fmt.Sprintf("%d", b.UpperNS)
 				}
-				fmt.Fprintf(w, "rabit_%s_bucket{reg=%q,le=%q} %d\n", n, s.Name, le, b.Cumulative)
+				fmt.Fprintf(w, "rabit_%s_bucket{%s,le=\"%s\"} %d\n", n, reg, le, b.Cumulative)
 			}
 		}
 		for _, f := range s.Families {
 			n := sanitize(f.Name)
 			key := sanitize(f.Key)
+			label := func(v string) string { return fmt.Sprintf("%s,%s=\"%s\"", reg, key, escapeLabel(v)) }
 			for _, c := range f.Counters {
-				fmt.Fprintf(w, "rabit_%s{reg=%q,%s=%q} %d\n", n, s.Name, key, c.Name, c.Value)
+				fmt.Fprintf(w, "rabit_%s{%s} %d\n", n, label(c.Name), c.Value)
 			}
 			for _, gg := range f.Gauges {
-				fmt.Fprintf(w, "rabit_%s{reg=%q,%s=%q} %d\n", n, s.Name, key, gg.Name, gg.Value)
+				fmt.Fprintf(w, "rabit_%s{%s} %d\n", n, label(gg.Name), gg.Value)
 			}
 			for _, h := range f.Histograms {
-				lbl := fmt.Sprintf("reg=%q,%s=%q", s.Name, key, h.Name)
-				fmt.Fprintf(w, "rabit_%s_count{%s} %d\n", n, lbl, h.Count)
-				fmt.Fprintf(w, "rabit_%s_sum_ns{%s} %d\n", n, lbl, h.SumNS)
-				fmt.Fprintf(w, "rabit_%s_ns{%s,q=\"0.5\"} %d\n", n, lbl, h.P50NS)
-				fmt.Fprintf(w, "rabit_%s_ns{%s,q=\"0.95\"} %d\n", n, lbl, h.P95NS)
-				fmt.Fprintf(w, "rabit_%s_ns{%s,q=\"0.99\"} %d\n", n, lbl, h.P99NS)
-				fmt.Fprintf(w, "rabit_%s_ns{%s,q=\"max\"} %d\n", n, lbl, h.MaxNS)
+				summary(n, label(h.Name), h)
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -22,124 +21,14 @@ import (
 // on a gauge, a sample outside its declared family) fails loudly
 // instead of shipping.
 
-// omFamily is one OpenMetrics metric family: unlike the 0.0.4 writer,
-// the family (metadata) name can differ from the sample names —
-// counters declare `# TYPE rabit_commands counter` but expose
-// `rabit_commands_total`.
-type omFamily struct {
-	typ   string
-	help  string
-	lines []string
-}
-
 // WriteOpenMetrics renders snapshots and SLOs in the OpenMetrics 1.0
 // text format, terminated by # EOF.
 func WriteOpenMetrics(w io.Writer, snaps []Snapshot, slos []SLOSnapshot) {
-	fams := map[string]*omFamily{}
-	family := func(name, typ, help string) *omFamily {
-		f, ok := fams[name]
-		if !ok {
-			f = &omFamily{typ: typ, help: help}
-			fams[name] = f
-		}
-		return f
-	}
-	for _, s := range snaps {
-		reg := escapeLabel(s.Name)
-		for _, c := range s.Counters {
-			fam := "rabit_" + sanitize(c.Name)
-			f := family(fam, "counter", helpFor(fam+"_total"))
-			f.lines = append(f.lines, fmt.Sprintf("%s_total{reg=\"%s\"} %d", fam, reg, c.Value))
-		}
-		for _, g := range s.Gauges {
-			fam := "rabit_" + sanitize(g.Name)
-			f := family(fam, "gauge", helpFor(fam))
-			f.lines = append(f.lines, fmt.Sprintf("%s{reg=\"%s\"} %d", fam, reg, g.Value))
-		}
-		bounds := BucketBoundsNS()
-		for _, h := range s.Histograms {
-			fam := "rabit_" + sanitize(h.Name) + "_seconds"
-			f := family(fam, "histogram", helpFor(fam))
-			f.lines = append(f.lines, omHistLines(fam, "reg=\""+reg+"\"", h, bounds)...)
-		}
-		for _, fs := range s.Families {
-			key := sanitize(fs.Key)
-			switch fs.Kind {
-			case KindCounter:
-				fam := "rabit_" + sanitize(fs.Name)
-				f := family(fam, "counter", helpFor(fam+"_total"))
-				for _, c := range fs.Counters {
-					f.lines = append(f.lines, fmt.Sprintf("%s_total{reg=\"%s\",%s=\"%s\"} %d",
-						fam, reg, key, escapeLabel(c.Name), c.Value))
-				}
-			case KindGauge:
-				fam := "rabit_" + sanitize(fs.Name)
-				f := family(fam, "gauge", helpFor(fam))
-				for _, g := range fs.Gauges {
-					f.lines = append(f.lines, fmt.Sprintf("%s{reg=\"%s\",%s=\"%s\"} %d",
-						fam, reg, key, escapeLabel(g.Name), g.Value))
-				}
-			case KindHistogram:
-				unit := fs.Unit
-				if unit == "" {
-					unit = UnitSeconds
-				}
-				fam := "rabit_" + sanitize(fs.Name) + "_" + sanitize(unit)
-				f := family(fam, "histogram", helpFor(fam))
-				for _, h := range fs.Histograms {
-					lbl := fmt.Sprintf("reg=\"%s\",%s=\"%s\"", reg, key, escapeLabel(h.Name))
-					f.lines = append(f.lines, omHistLines(fam, lbl, h, bounds)...)
-				}
-			}
-		}
-	}
-	names := make([]string, 0, len(fams))
-	for name := range fams {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var sb strings.Builder
-	for _, name := range names {
-		f := fams[name]
-		fmt.Fprintf(&sb, "# HELP %s %s\n", name, escapeHelp(f.help))
-		fmt.Fprintf(&sb, "# TYPE %s %s\n", name, f.typ)
-		for _, line := range f.lines {
-			sb.WriteString(line)
-			sb.WriteByte('\n')
-		}
-	}
-	io.WriteString(w, sb.String())
+	writeFamilies(w, buildFamilies(snaps, true))
 	// The SLO gauges' family names equal their sample names, so the
 	// 0.0.4 rendering is already valid OpenMetrics.
 	WritePromSLOs(w, slos)
 	io.WriteString(w, "# EOF\n")
-}
-
-// omHistLines renders one histogram's _bucket/_sum/_count samples,
-// attaching each bucket's most recent trace exemplar when one exists.
-func omHistLines(fam, lbl string, h HistogramSnapshot, bounds []int64) []string {
-	cum := h.CumCounts
-	if cum == nil {
-		cum = make([]int64, len(bounds)+1)
-	}
-	exemplar := func(bucket int) string {
-		for _, ex := range h.Exemplars {
-			if ex.Bucket == bucket {
-				return fmt.Sprintf(" # {trace_id=\"%s\"} %s", escapeLabel(ex.TraceID), promSeconds(ex.ValueNS))
-			}
-		}
-		return ""
-	}
-	lines := make([]string, 0, len(bounds)+3)
-	for i, b := range bounds {
-		lines = append(lines, fmt.Sprintf("%s_bucket{%s,le=\"%s\"} %d%s",
-			fam, lbl, promSeconds(b), cum[i], exemplar(i)))
-	}
-	lines = append(lines, fmt.Sprintf("%s_bucket{%s,le=\"+Inf\"} %d%s",
-		fam, lbl, cum[len(cum)-1], exemplar(len(bounds))))
-	lines = append(lines, fmt.Sprintf("%s_sum{%s} %s", fam, lbl, promSeconds(h.SumNS)))
-	lines = append(lines, fmt.Sprintf("%s_count{%s} %d", fam, lbl, h.Count))
-	return lines
 }
 
 // omTypes are the metric types OpenMetrics 1.0 admits.

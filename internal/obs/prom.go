@@ -73,6 +73,19 @@ type promFamily struct {
 	lines []string
 }
 
+// promFamilies is a family set keyed by family (metadata) name.
+type promFamilies map[string]*promFamily
+
+// get returns the named family, creating it on first use.
+func (fams promFamilies) get(name, typ, help string) *promFamily {
+	f, ok := fams[name]
+	if !ok {
+		f = &promFamily{typ: typ, help: help}
+		fams[name] = f
+	}
+	return f
+}
+
 // helpText maps sanitized family names to # HELP strings; families not
 // listed fall back to a generic line. Kept deliberately small — the
 // point of HELP is orientation, not documentation.
@@ -129,62 +142,59 @@ func helpFor(name string) string {
 // nanoseconds). Every series carries a reg label naming its registry's
 // scrape alias; label values are escaped per the format.
 func WritePromText(w io.Writer, snaps []Snapshot) {
-	fams := map[string]*promFamily{}
-	family := func(name, typ string) *promFamily {
-		f, ok := fams[name]
-		if !ok {
-			f = &promFamily{typ: typ, help: helpFor(name)}
-			fams[name] = f
+	writeFamilies(w, buildFamilies(snaps, false))
+}
+
+// buildFamilies collects every registry's instruments into metric
+// families for either text exposition. The formats differ in exactly
+// two places: an OpenMetrics counter family drops the _total suffix its
+// samples keep (`# TYPE rabit_commands counter` over
+// `rabit_commands_total`), and OpenMetrics histogram buckets carry their
+// trace exemplars.
+func buildFamilies(snaps []Snapshot, om bool) promFamilies {
+	fams := promFamilies{}
+	counter := func(base, lbl string, v int64) {
+		sample := "rabit_" + base + "_total"
+		name := sample
+		if om {
+			name = "rabit_" + base
 		}
-		return f
+		f := fams.get(name, "counter", helpFor(sample))
+		f.lines = append(f.lines, fmt.Sprintf("%s{%s} %d", sample, lbl, v))
 	}
+	gauge := func(name, lbl string, v int64) {
+		f := fams.get(name, "gauge", helpFor(name))
+		f.lines = append(f.lines, fmt.Sprintf("%s{%s} %d", name, lbl, v))
+	}
+	bounds := BucketBoundsNS()
 	for _, s := range snaps {
-		reg := escapeLabel(s.Name)
+		reg := "reg=\"" + escapeLabel(s.Name) + "\""
 		for _, c := range s.Counters {
-			name := "rabit_" + sanitize(c.Name) + "_total"
-			f := family(name, "counter")
-			f.lines = append(f.lines, fmt.Sprintf("%s{reg=\"%s\"} %d", name, reg, c.Value))
+			counter(sanitize(c.Name), reg, c.Value)
 		}
 		for _, g := range s.Gauges {
-			name := "rabit_" + sanitize(g.Name)
-			f := family(name, "gauge")
-			f.lines = append(f.lines, fmt.Sprintf("%s{reg=\"%s\"} %d", name, reg, g.Value))
+			gauge("rabit_"+sanitize(g.Name), reg, g.Value)
 		}
-		bounds := BucketBoundsNS()
 		for _, h := range s.Histograms {
 			name := "rabit_" + sanitize(h.Name) + "_seconds"
-			f := family(name, "histogram")
-			cum := h.CumCounts
-			if cum == nil {
-				// An empty histogram still exposes a complete series.
-				cum = make([]int64, len(bounds)+1)
-			}
-			for i, b := range bounds {
-				f.lines = append(f.lines, fmt.Sprintf("%s_bucket{reg=\"%s\",le=\"%s\"} %d",
-					name, reg, promSeconds(b), cum[i]))
-			}
-			f.lines = append(f.lines, fmt.Sprintf("%s_bucket{reg=\"%s\",le=\"+Inf\"} %d",
-				name, reg, cum[len(cum)-1]))
-			f.lines = append(f.lines, fmt.Sprintf("%s_sum{reg=\"%s\"} %s",
-				name, reg, promSeconds(h.SumNS)))
-			f.lines = append(f.lines, fmt.Sprintf("%s_count{reg=\"%s\"} %d", name, reg, h.Count))
+			f := fams.get(name, "histogram", helpFor(name))
+			f.lines = append(f.lines, histLines(name, reg, h, bounds, om)...)
 		}
 		for _, fam := range s.Families {
 			key := sanitize(fam.Key)
+			label := func(v string) string {
+				return fmt.Sprintf("%s,%s=\"%s\"", reg, key, escapeLabel(v))
+			}
 			switch fam.Kind {
 			case KindCounter:
-				name := "rabit_" + sanitize(fam.Name) + "_total"
-				f := family(name, "counter")
+				base := sanitize(fam.Name)
 				for _, c := range fam.Counters {
-					f.lines = append(f.lines, fmt.Sprintf("%s{reg=\"%s\",%s=\"%s\"} %d",
-						name, reg, key, escapeLabel(c.Name), c.Value))
+					counter(base, label(c.Name), c.Value)
 				}
 			case KindGauge:
 				name := "rabit_" + sanitize(fam.Name)
-				f := family(name, "gauge")
 				for _, gv := range fam.Gauges {
-					f.lines = append(f.lines, fmt.Sprintf("%s{reg=\"%s\",%s=\"%s\"} %d",
-						name, reg, key, escapeLabel(gv.Name), gv.Value))
+					gauge(name, label(gv.Name), gv.Value)
 				}
 			case KindHistogram:
 				unit := fam.Unit
@@ -192,28 +202,47 @@ func WritePromText(w io.Writer, snaps []Snapshot) {
 					unit = UnitSeconds
 				}
 				name := "rabit_" + sanitize(fam.Name) + "_" + sanitize(unit)
-				f := family(name, "histogram")
+				f := fams.get(name, "histogram", helpFor(name))
 				for _, h := range fam.Histograms {
-					lv := escapeLabel(h.Name)
-					cum := h.CumCounts
-					if cum == nil {
-						cum = make([]int64, len(bounds)+1)
-					}
-					for i, b := range bounds {
-						f.lines = append(f.lines, fmt.Sprintf("%s_bucket{reg=\"%s\",%s=\"%s\",le=\"%s\"} %d",
-							name, reg, key, lv, promSeconds(b), cum[i]))
-					}
-					f.lines = append(f.lines, fmt.Sprintf("%s_bucket{reg=\"%s\",%s=\"%s\",le=\"+Inf\"} %d",
-						name, reg, key, lv, cum[len(cum)-1]))
-					f.lines = append(f.lines, fmt.Sprintf("%s_sum{reg=\"%s\",%s=\"%s\"} %s",
-						name, reg, key, lv, promSeconds(h.SumNS)))
-					f.lines = append(f.lines, fmt.Sprintf("%s_count{reg=\"%s\",%s=\"%s\"} %d",
-						name, reg, key, lv, h.Count))
+					f.lines = append(f.lines, histLines(name, label(h.Name), h, bounds, om)...)
 				}
 			}
 		}
 	}
-	writeFamilies(w, fams)
+	return fams
+}
+
+// histLines renders one histogram's _bucket/_sum/_count samples under
+// the given label set. With exemplars on, each bucket carries its most
+// recent trace exemplar when one exists (OpenMetrics only: 0.0.4 has no
+// exemplar syntax).
+func histLines(name, lbl string, h HistogramSnapshot, bounds []int64, exemplars bool) []string {
+	cum := h.CumCounts
+	if cum == nil {
+		// An empty histogram still exposes a complete series.
+		cum = make([]int64, len(bounds)+1)
+	}
+	exemplar := func(bucket int) string {
+		if !exemplars {
+			return ""
+		}
+		for _, ex := range h.Exemplars {
+			if ex.Bucket == bucket {
+				return fmt.Sprintf(" # {trace_id=\"%s\"} %s", escapeLabel(ex.TraceID), promSeconds(ex.ValueNS))
+			}
+		}
+		return ""
+	}
+	lines := make([]string, 0, len(bounds)+3)
+	for i, b := range bounds {
+		lines = append(lines, fmt.Sprintf("%s_bucket{%s,le=\"%s\"} %d%s",
+			name, lbl, promSeconds(b), cum[i], exemplar(i)))
+	}
+	lines = append(lines, fmt.Sprintf("%s_bucket{%s,le=\"+Inf\"} %d%s",
+		name, lbl, cum[len(cum)-1], exemplar(len(bounds))))
+	lines = append(lines, fmt.Sprintf("%s_sum{%s} %s", name, lbl, promSeconds(h.SumNS)))
+	lines = append(lines, fmt.Sprintf("%s_count{%s} %d", name, lbl, h.Count))
+	return lines
 }
 
 // WritePromSLOs renders the SLO group: objective and threshold as
@@ -223,15 +252,8 @@ func WritePromSLOs(w io.Writer, slos []SLOSnapshot) {
 	if len(slos) == 0 {
 		return
 	}
-	fams := map[string]*promFamily{}
-	family := func(name string) *promFamily {
-		f, ok := fams[name]
-		if !ok {
-			f = &promFamily{typ: "gauge", help: helpFor(name)}
-			fams[name] = f
-		}
-		return f
-	}
+	fams := promFamilies{}
+	family := func(name string) *promFamily { return fams.get(name, "gauge", helpFor(name)) }
 	for _, s := range slos {
 		// Tenant-scoped SLOs carry the tenant label right after slo, so a
 		// gateway's per-lab burn rates are distinct series; global SLOs
@@ -262,7 +284,7 @@ func WritePromSLOs(w io.Writer, slos []SLOSnapshot) {
 
 // writeFamilies emits families sorted by name, each under exactly one
 // # HELP and one # TYPE line.
-func writeFamilies(w io.Writer, fams map[string]*promFamily) {
+func writeFamilies(w io.Writer, fams promFamilies) {
 	names := make([]string, 0, len(fams))
 	for name := range fams {
 		names = append(names, name)

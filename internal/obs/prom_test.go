@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -107,6 +108,33 @@ func TestPromHostileLabels(t *testing.T) {
 	// Bytes the format takes literally pass through untouched.
 	if got := escapeLabel("tab\there"); got != "tab\there" {
 		t.Fatalf("escapeLabel mangled a literal tab: %q", got)
+	}
+
+	// The flat /metrics rendering claims the same text format, so a tab
+	// and a non-breaking space reach it literally too — not Go-quoted as
+	// \t and \u00a0, for the registry label and family label values alike.
+	literal := "lab\t\u00a0west"
+	g := NewGroup()
+	lr := NewRegistry(literal)
+	lr.Counter("outcome.ok").Inc()
+	lr.CounterFamily("rule.fires", "rule").Counter(literal).Add(2)
+	lr.HistogramFamily("rule.eval", "rule").Histogram(literal).Observe(time.Millisecond)
+	g.Register(lr)
+	srv := httptest.NewServer(g.Handler())
+	defer srv.Close()
+	body := mustGet(t, srv.URL+"/metrics")
+	lbl := `reg="` + literal + `"`
+	for _, want := range []string{
+		`rabit_outcome_ok{` + lbl + `} 1`,
+		`rabit_rule_fires{` + lbl + `,rule="` + literal + `"} 2`,
+		`rabit_rule_eval_count{` + lbl + `,rule="` + literal + `"} 1`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q:\n%s", want, body)
+		}
+	}
+	if strings.Contains(body, `\t`) || strings.Contains(body, `\u00a0`) {
+		t.Errorf("/metrics Go-quoted a label value:\n%s", body)
 	}
 }
 

@@ -11,8 +11,15 @@ import (
 	"repro/internal/geom"
 	"repro/internal/labs"
 	"repro/internal/obs"
+	otrace "repro/internal/obs/trace"
 	"repro/internal/state"
 )
+
+// validate runs an untraced trajectory check and returns its error.
+func validate(s *Simulator, cmd action.Command, model state.Snapshot) error {
+	_, err := s.ValidTrajectory(cmd, model, otrace.SpanContext{})
+	return err
+}
 
 // verdict renders a ValidTrajectory result for equality comparison.
 func verdict(err error) string {
@@ -28,7 +35,7 @@ func verdict(err error) string {
 func armScript(s *Simulator, m state.Snapshot, cmds []action.Command) []string {
 	out := make([]string, 0, len(cmds))
 	for _, cmd := range cmds {
-		err := s.ValidTrajectory(cmd, m)
+		err := validate(s, cmd, m)
 		out = append(out, verdict(err))
 		if err == nil {
 			s.Observe(cmd, m)
@@ -156,8 +163,8 @@ func TestBroadphaseVerdictEquivalence(t *testing.T) {
 	accepts, rejects := 0, 0
 	check := func(cmd action.Command, model state.Snapshot, label string) {
 		t.Helper()
-		vp := verdict(pruned.ValidTrajectory(cmd, model))
-		vf := verdict(full.ValidTrajectory(cmd, model))
+		vp := verdict(validate(pruned, cmd, model))
+		vf := verdict(validate(full, cmd, model))
 		if vp != vf {
 			t.Fatalf("%s: broadphase verdict %q, unpruned %q", label, vp, vf)
 		}
@@ -236,11 +243,11 @@ func TestWallPlaneNonUnitNormal(t *testing.T) {
 	hover := moveOn("viperx", geom.V(0.35, 0.52, 0.35))
 	pierce := moveOn("viperx", geom.V(0.35, 0.64, 0.30))
 	for name, s := range map[string]*Simulator{"unit": unit, "scaled": scaled} {
-		if err := s.ValidTrajectory(hover, m); err != nil {
+		if err := validate(s, hover, m); err != nil {
 			t.Fatalf("%s: near-wall hover rejected: %v", name, err)
 		}
 		s.Observe(hover, m)
-		err := s.ValidTrajectory(pierce, m)
+		err := validate(s, pierce, m)
 		if err == nil {
 			t.Fatalf("%s: wall-piercing move accepted", name)
 		}
@@ -263,7 +270,7 @@ func TestBroadphaseTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := lab.InitialModelState()
-	if err := s.ValidTrajectory(moveOn("viperx", geom.V(0.32, 0.22, 0.25)), m); err != nil {
+	if err := validate(s, moveOn("viperx", geom.V(0.32, 0.22, 0.25)), m); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter(obs.CounterSimChecks).Value(); got != 1 {

@@ -99,8 +99,8 @@ func TestIndexVerdictEquivalenceRandomized(t *testing.T) {
 				for _, as := range lab.Spec.Arms {
 					for i, tgt := range randTargets(rng, 25) {
 						cmd := moveOn(as.ID, tgt)
-						vi := verdict(indexed.ValidTrajectory(cmd, m))
-						vb := verdict(brute.ValidTrajectory(cmd, m))
+						vi := verdict(validate(indexed, cmd, m))
+						vb := verdict(validate(brute, cmd, m))
 						if vi != vb {
 							t.Fatalf("trial %d %s target %d %v:\n  indexed: %q\n  brute:   %q",
 								trial, as.ID, i, tgt, vi, vb)
@@ -144,8 +144,8 @@ func TestLegacySweepVerdictEquivalence(t *testing.T) {
 		for _, y := range []float64{-0.45, -0.18, 0.05, 0.25, 0.45, 0.64} {
 			for _, z := range []float64{0.04, 0.12, 0.3} {
 				cmd := moveOn("viperx", geom.V(x, y, z))
-				vl := verdict(legacy.ValidTrajectory(cmd, m))
-				vi := verdict(indexed.ValidTrajectory(cmd, m))
+				vl := verdict(validate(legacy, cmd, m))
+				vi := verdict(validate(indexed, cmd, m))
 				if vl != vi {
 					t.Fatalf("target %v: legacy %q, indexed %q", cmd.Target, vl, vi)
 				}
@@ -250,7 +250,7 @@ func TestIndexTelemetry(t *testing.T) {
 	m := lab.InitialModelState()
 	// Straight into the grid body: the index must surface it as a
 	// candidate for the narrow phase to reject.
-	if err := s.ValidTrajectory(moveOn("viperx", geom.V(0.35, 0.25, 0.05)), m); err == nil {
+	if err := validate(s, moveOn("viperx", geom.V(0.35, 0.25, 0.05)), m); err == nil {
 		t.Fatal("grid-collision move accepted")
 	}
 	if got := reg.Counter(obs.CounterSimIndexRebuilds).Value(); got != 1 {
@@ -263,7 +263,7 @@ func TestIndexTelemetry(t *testing.T) {
 		t.Errorf("%s count = %d, want 1", obs.HistSimIndexRebuild, got)
 	}
 	// A second check on the same epoch must not rebuild.
-	if err := s.ValidTrajectory(moveOn("viperx", geom.V(0.15, 0.30, 0.25)), m); err != nil {
+	if err := validate(s, moveOn("viperx", geom.V(0.15, 0.30, 0.25)), m); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter(obs.CounterSimIndexRebuilds).Value(); got != 1 {

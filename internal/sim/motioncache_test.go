@@ -12,6 +12,7 @@ import (
 	"repro/internal/kin"
 	"repro/internal/labs"
 	"repro/internal/obs"
+	otrace "repro/internal/obs/trace"
 	"repro/internal/state"
 )
 
@@ -24,7 +25,7 @@ func parkForCrossing(t *testing.T, s *Simulator, m state.Snapshot) {
 		moveOn("viperx", geom.V(0.63, -0.38, 0.30)),
 		moveOn("viperx", geom.V(0.63, -0.38, 0.12)),
 	} {
-		if err := s.ValidTrajectory(cmd, m); err != nil {
+		if err := validate(s, cmd, m); err != nil {
 			t.Fatalf("approach leg %v rejected: %v", cmd.Target, err)
 		}
 		s.Observe(cmd, m)
@@ -37,7 +38,7 @@ func TestMotionCacheRepeatCheckIsAHit(t *testing.T) {
 	m := model(lab)
 	cmd := move(geom.V(0.32, 0.22, 0.25))
 	for i := 0; i < 3; i++ {
-		if err := s.ValidTrajectory(cmd, m); err != nil {
+		if err := validate(s, cmd, m); err != nil {
 			t.Fatalf("check %d: %v", i, err)
 		}
 	}
@@ -54,8 +55,8 @@ func TestMotionCacheRepeatCheckIsAHit(t *testing.T) {
 	}
 	// Violations are memoized too, with the reason intact.
 	bad := move(geom.V(0.35, 0.25, 0.05)) // grid collision
-	first := verdict(s.ValidTrajectory(bad, m))
-	second := verdict(s.ValidTrajectory(bad, m))
+	first := verdict(validate(s, bad, m))
+	second := verdict(validate(s, bad, m))
 	if first == "ok" || first != second {
 		t.Errorf("cached violation mismatch: %q then %q", first, second)
 	}
@@ -71,11 +72,11 @@ func TestDeckEpochInvalidatesVerdicts(t *testing.T) {
 	parkForCrossing(t, s, mClosed)
 	crossing := move(geom.V(0.63, -0.02, 0.12))
 
-	err := s.ValidTrajectory(crossing, mClosed)
+	err := validate(s, crossing, mClosed)
 	if err == nil || !strings.Contains(err.Error(), "centrifuge") {
 		t.Fatalf("door-closed crossing should hit the centrifuge: %v", err)
 	}
-	if v := verdict(s.ValidTrajectory(crossing, mClosed)); v != verdict(err) {
+	if v := verdict(validate(s, crossing, mClosed)); v != verdict(err) {
 		t.Fatalf("cached verdict changed: %q", v)
 	}
 
@@ -84,7 +85,7 @@ func TestDeckEpochInvalidatesVerdicts(t *testing.T) {
 	mOpen.Set(state.DoorStatus("centrifuge"), state.Bool(true))
 	s.BumpDeckEpoch()
 	misses := reg.Counter(obs.CounterVerdictCacheMisses).Value()
-	if err := s.ValidTrajectory(crossing, mOpen); err != nil {
+	if err := validate(s, crossing, mOpen); err != nil {
 		t.Fatalf("door-open crossing rejected: %v", err)
 	}
 	if got := reg.Counter(obs.CounterVerdictCacheMisses).Value(); got != misses+1 {
@@ -97,7 +98,7 @@ func TestDeckEpochInvalidatesVerdicts(t *testing.T) {
 	// Closing it again bumps again; the stale pass under the open-door
 	// epoch must not be served.
 	s.BumpDeckEpoch()
-	err = s.ValidTrajectory(crossing, mClosed)
+	err = validate(s, crossing, mClosed)
 	if err == nil || !strings.Contains(err.Error(), "centrifuge") {
 		t.Fatalf("stale door-open verdict served after re-close: %v", err)
 	}
@@ -187,8 +188,8 @@ func TestCachedVerdictEquivalenceRandomized(t *testing.T) {
 			pool := pools[arm]
 			cmd = moveOn(arm, pool[rng.Intn(len(pool))])
 		}
-		vc := verdict(cached.ValidTrajectory(cmd, m))
-		vp := verdict(plain.ValidTrajectory(cmd, m))
+		vc := verdict(validate(cached, cmd, m))
+		vp := verdict(validate(plain, cmd, m))
 		if vc != vp {
 			t.Fatalf("check %d (%s %v after %d mutations): cached %q, uncached %q",
 				checks, arm, cmd.Target, mutates, vc, vp)
@@ -257,8 +258,8 @@ func TestSharedPlanCacheConcurrentEpochMutation(t *testing.T) {
 	expect := map[string]map[bool]string{}
 	for arm, cmd := range cmds {
 		expect[arm] = map[bool]string{
-			false: verdict(ref.ValidTrajectory(cmd, mClosed)),
-			true:  verdict(ref.ValidTrajectory(cmd, mOpen)),
+			false: verdict(validate(ref, cmd, mClosed)),
+			true:  verdict(validate(ref, cmd, mOpen)),
 		}
 	}
 	if expect["viperx"][false] == expect["viperx"][true] {
@@ -281,7 +282,7 @@ func TestSharedPlanCacheConcurrentEpochMutation(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				pub.RLock()
 				snap, open := cur, doorOpen
-				got := verdict(s.ValidTrajectory(cmd, snap))
+				got := verdict(validate(s, cmd, snap))
 				pub.RUnlock()
 				if want := expect[arm][open]; got != want {
 					select {
@@ -330,7 +331,7 @@ func TestSpeculateAfterWarmsNextCheck(t *testing.T) {
 	cur := move(geom.V(0.32, 0.22, 0.25))
 	next := move(geom.V(0.15, 0.30, 0.25))
 
-	if !s.SpeculateAfter(cur, next, m, s.DeckEpoch()) {
+	if !s.SpeculateAfter(cur, next, m, s.DeckEpoch(), "", otrace.SpanContext{}) {
 		t.Fatal("speculation refused")
 	}
 	// Speculative work must not show up as on-path traffic.
@@ -338,11 +339,11 @@ func TestSpeculateAfterWarmsNextCheck(t *testing.T) {
 		t.Errorf("speculation counted as an on-path miss (%d)", got)
 	}
 
-	if err := s.ValidTrajectory(cur, m); err != nil {
+	if err := validate(s, cur, m); err != nil {
 		t.Fatal(err)
 	}
 	s.Observe(cur, m)
-	if err := s.ValidTrajectory(next, m); err != nil {
+	if err := validate(s, next, m); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.SpeculationHits(); got != 1 {
@@ -352,7 +353,7 @@ func TestSpeculateAfterWarmsNextCheck(t *testing.T) {
 		t.Errorf("speculation gauge = %d, want 1", got)
 	}
 	// The speculative credit is claimed once; a re-check is an ordinary hit.
-	if err := s.ValidTrajectory(next, m); err != nil {
+	if err := validate(s, next, m); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.SpeculationHits(); got != 1 {
@@ -360,14 +361,14 @@ func TestSpeculateAfterWarmsNextCheck(t *testing.T) {
 	}
 
 	// Guards: non-motion next, unknown arm, cache off.
-	if s.SpeculateAfter(cur, action.Command{Device: "dosing_device", Action: action.OpenDoor}, m, s.DeckEpoch()) {
+	if s.SpeculateAfter(cur, action.Command{Device: "dosing_device", Action: action.OpenDoor}, m, s.DeckEpoch(), "", otrace.SpanContext{}) {
 		t.Error("speculated a non-motion command")
 	}
-	if s.SpeculateAfter(cur, moveOn("ghost", geom.V(0.2, 0.2, 0.2)), m, s.DeckEpoch()) {
+	if s.SpeculateAfter(cur, moveOn("ghost", geom.V(0.2, 0.2, 0.2)), m, s.DeckEpoch(), "", otrace.SpanContext{}) {
 		t.Error("speculated for an unmodelled arm")
 	}
 	off, _ := testbedSim(t)
-	if off.SpeculateAfter(cur, next, m, 0) {
+	if off.SpeculateAfter(cur, next, m, 0, "", otrace.SpanContext{}) {
 		t.Error("speculated with the motion cache off")
 	}
 }
@@ -380,18 +381,18 @@ func TestSpeculationStrandedByEpochBump(t *testing.T) {
 	next := move(geom.V(0.15, 0.30, 0.25))
 
 	epoch := s.DeckEpoch()
-	if !s.SpeculateAfter(cur, next, m, epoch) {
+	if !s.SpeculateAfter(cur, next, m, epoch, "", otrace.SpanContext{}) {
 		t.Fatal("speculation refused")
 	}
 	// The deck changes between speculation and execution: the
 	// speculative verdict is stranded under the dead epoch.
 	s.BumpDeckEpoch()
-	if err := s.ValidTrajectory(cur, m); err != nil {
+	if err := validate(s, cur, m); err != nil {
 		t.Fatal(err)
 	}
 	s.Observe(cur, m)
 	misses := reg.Counter(obs.CounterVerdictCacheMisses).Value()
-	if err := s.ValidTrajectory(next, m); err != nil {
+	if err := validate(s, next, m); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter(obs.CounterVerdictCacheMisses).Value(); got != misses+1 {
@@ -415,7 +416,7 @@ func TestSpeculateAfterPredictsFromPriorEnd(t *testing.T) {
 
 	cur := move(geom.V(0.63, -0.38, 0.30))
 	next := move(geom.V(0.63, -0.38, 0.12))
-	if !s.SpeculateAfter(cur, next, m, s.DeckEpoch()) {
+	if !s.SpeculateAfter(cur, next, m, s.DeckEpoch(), "", otrace.SpanContext{}) {
 		t.Fatal("speculation refused")
 	}
 	// The mirror must not have moved.
@@ -427,11 +428,11 @@ func TestSpeculateAfterPredictsFromPriorEnd(t *testing.T) {
 	}
 	// Executing the pair consumes the speculative verdict, which is only
 	// possible if it was keyed on cur's end configuration.
-	if err := s.ValidTrajectory(cur, m); err != nil {
+	if err := validate(s, cur, m); err != nil {
 		t.Fatal(err)
 	}
 	s.Observe(cur, m)
-	if err := s.ValidTrajectory(next, m); err != nil {
+	if err := validate(s, next, m); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.SpeculationHits(); got != 1 {

@@ -504,31 +504,15 @@ func (s *Simulator) fillBatch(m *mirrorArm, tr *kin.Trajectory,
 // RABIT's current beliefs (held object, door states); the caller must not
 // mutate it during the call. Checks for different arms run concurrently;
 // checks for the same arm serialise on that arm's mirror.
-func (s *Simulator) ValidTrajectory(cmd action.Command, model state.Snapshot) error {
-	_, err := s.ValidTrajectoryProv(cmd, model)
-	return err
-}
-
-// ValidTrajectoryProv is ValidTrajectory plus the verdict's provenance
-// for the flight recorder: whether the answer was solved cold, served
-// from the epoch-keyed verdict cache, or pre-computed by a speculative
-// lookahead (in which case the provenance names the speculation's
-// correlation ID). The verdict itself is byte-identical to
-// ValidTrajectory's — provenance is observation, never behaviour.
-func (s *Simulator) ValidTrajectoryProv(cmd action.Command, model state.Snapshot) (recorder.Verdict, error) {
-	return s.validTraced(cmd, model, otrace.SpanContext{})
-}
-
-// ValidTrajectoryTraced is ValidTrajectoryProv under a causal parent
-// span: the planner and sweep emit kin.plan / sim.sweep / sim.verdict
-// child spans beneath it (when WithTracer is set). The verdict is
-// byte-identical to ValidTrajectory's — tracing is observation, never
-// behaviour.
-func (s *Simulator) ValidTrajectoryTraced(cmd action.Command, model state.Snapshot, parent otrace.SpanContext) (recorder.Verdict, error) {
-	return s.validTraced(cmd, model, parent)
-}
-
-func (s *Simulator) validTraced(cmd action.Command, model state.Snapshot, parent otrace.SpanContext) (recorder.Verdict, error) {
+//
+// The returned Verdict is the answer's provenance for the flight
+// recorder: solved cold, served from the epoch-keyed verdict cache, or
+// pre-computed by a speculative lookahead (then naming the speculation's
+// correlation ID). Under a valid parent span the planner and sweep emit
+// kin.plan / sim.sweep / sim.verdict child spans beneath it (when
+// WithTracer is set); a zero parent emits none. Provenance and spans are
+// observation, never behaviour: the error is the same either way.
+func (s *Simulator) ValidTrajectory(cmd action.Command, model state.Snapshot, parent otrace.SpanContext) (recorder.Verdict, error) {
 	if !cmd.Action.IsRobotMotion() {
 		return recorder.Verdict{}, nil
 	}
@@ -943,23 +927,13 @@ func (s *Simulator) Observe(cmd action.Command, model state.Snapshot) {
 // model owner's lock: the verdict is stored for exactly that pairing, so
 // a deck change during or after the speculation simply strands the entry
 // under a dead epoch — mis-speculation can waste work, never poison a
-// future check. Reports whether a speculation ran.
-func (s *Simulator) SpeculateAfter(prior, next action.Command, model state.Snapshot, epoch uint64) bool {
-	return s.SpeculateAfterTagged(prior, next, model, epoch, "")
-}
-
-// SpeculateAfterTagged is SpeculateAfter with a flight-recorder
-// correlation ID: the verdict it caches carries corr, so the on-path
-// check that later consumes it can name the speculative span in its
-// provenance. An empty corr degrades to the untagged behaviour.
-func (s *Simulator) SpeculateAfterTagged(prior, next action.Command, model state.Snapshot, epoch uint64, corr string) bool {
-	return s.SpeculateAfterTraced(prior, next, model, epoch, corr, otrace.SpanContext{})
-}
-
-// SpeculateAfterTraced is SpeculateAfterTagged under a causal parent
-// span — the engine passes its "speculate" span so the lookahead's
-// kin/sim child spans join the hinting command's trace.
-func (s *Simulator) SpeculateAfterTraced(prior, next action.Command, model state.Snapshot,
+// future check. A non-empty corr tags the cached verdict with the
+// speculation's flight-recorder correlation ID, so the on-path check that
+// later consumes it names the speculation in its provenance; a valid
+// parent (the engine's "speculate" span) joins the lookahead's kin/sim
+// child spans to the hinting command's trace. Reports whether a
+// speculation ran.
+func (s *Simulator) SpeculateAfter(prior, next action.Command, model state.Snapshot,
 	epoch uint64, corr string, parent otrace.SpanContext) bool {
 	if !s.cacheOn || s.gui != nil || !next.Action.IsRobotMotion() {
 		return false

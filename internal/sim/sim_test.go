@@ -32,7 +32,7 @@ func move(target geom.Vec3) action.Command {
 
 func TestValidTrajectoryAcceptsFreeMove(t *testing.T) {
 	s, lab := testbedSim(t)
-	if err := s.ValidTrajectory(move(geom.V(0.32, 0.22, 0.25)), model(lab)); err != nil {
+	if err := validate(s, move(geom.V(0.32, 0.22, 0.25)), model(lab)); err != nil {
 		t.Fatalf("free move rejected: %v", err)
 	}
 	if s.Checks() != 1 {
@@ -44,7 +44,7 @@ func TestValidTrajectoryRejectsCuboidCollision(t *testing.T) {
 	s, lab := testbedSim(t)
 	// Straight into the grid body (the paper's "move UR3e inside the
 	// grid" scenario, on the testbed arm).
-	err := s.ValidTrajectory(move(geom.V(0.35, 0.25, 0.05)), model(lab))
+	err := validate(s, move(geom.V(0.35, 0.25, 0.05)), model(lab))
 	if err == nil {
 		t.Fatal("grid collision accepted")
 	}
@@ -55,7 +55,7 @@ func TestValidTrajectoryRejectsCuboidCollision(t *testing.T) {
 
 func TestValidTrajectoryRejectsUnplannableTarget(t *testing.T) {
 	s, lab := testbedSim(t)
-	err := s.ValidTrajectory(move(geom.V(0.1, 0.1, 1.5)), model(lab))
+	err := validate(s, move(geom.V(0.1, 0.1, 1.5)), model(lab))
 	if err == nil {
 		t.Fatal("unplannable target accepted")
 	}
@@ -70,17 +70,17 @@ func TestValidTrajectoryRejectsMidPathCollision(t *testing.T) {
 	// Park the mirror low south of the centrifuge, then ask for the leg
 	// across it — the footnote-2 replay.
 	via := move(geom.V(0.63, -0.38, 0.30))
-	if err := s.ValidTrajectory(via, m); err != nil {
+	if err := validate(s, via, m); err != nil {
 		t.Fatal(err)
 	}
 	s.Observe(via, m)
 	down := move(geom.V(0.63, -0.38, 0.12))
-	if err := s.ValidTrajectory(down, m); err != nil {
+	if err := validate(s, down, m); err != nil {
 		t.Fatal(err)
 	}
 	s.Observe(down, m)
 	leg := move(geom.V(0.63, -0.02, 0.12))
-	err := s.ValidTrajectory(leg, m)
+	err := validate(s, leg, m)
 	if err == nil {
 		t.Fatal("mid-path centrifuge crossing accepted")
 	}
@@ -98,7 +98,7 @@ func TestValidTrajectoryDoorAwareness(t *testing.T) {
 	}
 	// Reaching inside is geometrically fine for the simulator — door
 	// state is rule 1's concern, and the engine checks it first.
-	if err := s.ValidTrajectory(inside, m); err != nil {
+	if err := validate(s, inside, m); err != nil {
 		t.Fatalf("doorway entry rejected: %v", err)
 	}
 }
@@ -111,10 +111,10 @@ func TestHeldObjectAwareness(t *testing.T) {
 	m.Set(state.HeldObject("viperx"), state.Str("vial_1"))
 	// Bug-13 geometry: z=0.07 clears the bare gripper, not the vial.
 	low := move(geom.V(0.45, 0.10, 0.07))
-	if err := blind.ValidTrajectory(low, m); err != nil {
+	if err := validate(blind, low, m); err != nil {
 		t.Fatalf("held-blind simulator should accept: %v", err)
 	}
-	if err := aware.ValidTrajectory(low, m); err == nil {
+	if err := validate(aware, low, m); err == nil {
 		t.Fatal("held-aware simulator should reject the vial-crushing move")
 	}
 }
@@ -123,7 +123,7 @@ func TestObserveMirrorsAcceptedMoves(t *testing.T) {
 	s, lab := testbedSim(t)
 	m := model(lab)
 	cmd := move(geom.V(0.32, 0.22, 0.25))
-	if err := s.ValidTrajectory(cmd, m); err != nil {
+	if err := validate(s, cmd, m); err != nil {
 		t.Fatal(err)
 	}
 	s.Observe(cmd, m)
@@ -147,7 +147,7 @@ func TestObserveMirrorsAcceptedMoves(t *testing.T) {
 
 func TestNonMotionCommandsBypass(t *testing.T) {
 	s, lab := testbedSim(t)
-	if err := s.ValidTrajectory(action.Command{Device: "dosing_device", Action: action.OpenDoor}, model(lab)); err != nil {
+	if err := validate(s, action.Command{Device: "dosing_device", Action: action.OpenDoor}, model(lab)); err != nil {
 		t.Fatal(err)
 	}
 	if s.Checks() != 0 {
@@ -157,7 +157,7 @@ func TestNonMotionCommandsBypass(t *testing.T) {
 
 func TestGUIRendersFrames(t *testing.T) {
 	s, lab := testbedSim(t, WithGUI(320, 240))
-	if err := s.ValidTrajectory(move(geom.V(0.32, 0.22, 0.25)), model(lab)); err != nil {
+	if err := validate(s, move(geom.V(0.32, 0.22, 0.25)), model(lab)); err != nil {
 		t.Fatal(err)
 	}
 	if s.GUIFrames() == 0 {
@@ -200,23 +200,23 @@ func TestHomeAndSleepTrajectories(t *testing.T) {
 	// Move somewhere, then home and sleep — both planned from the mirror
 	// without IK (direct joint interpolation) and validated.
 	cmd := move(geom.V(0.32, 0.22, 0.25))
-	if err := s.ValidTrajectory(cmd, m); err != nil {
+	if err := validate(s, cmd, m); err != nil {
 		t.Fatal(err)
 	}
 	s.Observe(cmd, m)
 	home := action.Command{Device: "viperx", Action: action.MoveHome}
-	if err := s.ValidTrajectory(home, m); err != nil {
+	if err := validate(s, home, m); err != nil {
 		t.Fatalf("homing rejected: %v", err)
 	}
 	s.Observe(home, m)
 	sleep := action.Command{Device: "viperx", Action: action.MoveSleep}
-	if err := s.ValidTrajectory(sleep, m); err != nil {
+	if err := validate(s, sleep, m); err != nil {
 		t.Fatalf("sleep rejected: %v", err)
 	}
 	// Commands for unknown arms pass through (the simulator only models
 	// configured arms).
 	ghost := action.Command{Device: "ghost", Action: action.MoveRobot, Target: geom.V(0.1, 0, 0.2)}
-	if err := s.ValidTrajectory(ghost, m); err != nil {
+	if err := validate(s, ghost, m); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -386,6 +386,13 @@ func (i *Interceptor) Records() []Record {
 	return out
 }
 
+// Len reports how many records the trace holds, without copying them.
+func (i *Interceptor) Len() int {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	return len(i.records)
+}
+
 // Reset clears the trace and sequence counter (between evaluation
 // runs), closing any open run trace so the next run starts a fresh one.
 func (i *Interceptor) Reset() {
