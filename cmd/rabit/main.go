@@ -29,8 +29,6 @@
 //	-incident-dir d write a self-contained flight-recorder incident bundle
 //	                (manifest.json + records.jsonl) under d for every alert;
 //	                inspect with rabiteval -incidents d
-//	-events path    write the structured telemetry event JSONL (one event
-//	                per command outcome and alert); off by default
 //	-seed n         noise seed
 //	-version        print build provenance and exit
 package main
@@ -73,7 +71,6 @@ func run() error {
 		traceOTLP   = flag.String("trace-otlp", "", "write retained causal traces (OTLP-JSON lines) here")
 		traceSample = flag.Float64("trace-sample", 0, "tail-sampling probability for non-alert traces (negative = alerts only)")
 		metricsAddr = flag.String("metrics", "", "serve /debug/vars, /metrics, and pprof on this address (e.g. localhost:6060)")
-		eventsPath  = flag.String("events", "", "write the structured telemetry event JSONL here")
 		incidentDir = flag.String("incident-dir", "", "write a flight-recorder incident bundle here for every alert")
 		seed        = flag.Int64("seed", 1, "noise seed")
 		version     = flag.Bool("version", false, "print build provenance and exit")
@@ -158,22 +155,6 @@ func run() error {
 	// decision, and flushes the OTLP file; the deferred call covers early
 	// error returns (Close is idempotent).
 	defer sys.Close()
-
-	if *eventsPath != "" {
-		f, err := os.Create(*eventsPath)
-		if err != nil {
-			return err
-		}
-		sink := obs.NewJSONLSink(f)
-		sys.Obs.SetSink(sink)
-		defer func() {
-			if err := sink.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "rabit:", err)
-			}
-			f.Close()
-			fmt.Println("telemetry events written to", *eventsPath)
-		}()
-	}
 
 	var wfErr error
 	switch {

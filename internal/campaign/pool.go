@@ -1,13 +1,19 @@
 package campaign
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 
+	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/env"
 	"repro/internal/kin"
 	"repro/internal/obs/recorder"
+	"repro/internal/rules"
 	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/workflow"
 )
 
 // stackRecorderDepth sizes each pooled flight-recorder ring. Campaign
@@ -74,35 +80,67 @@ func (dr *deckRuntime) get() (*stack, error) {
 	if st, _ := dr.pool.Get().(*stack); st != nil {
 		return st, nil
 	}
-	return dr.newStack()
-}
-
-func (dr *deckRuntime) put(st *stack) { dr.pool.Put(st) }
-
-// newStack builds a fresh assembly. core.New needs an environment at
-// construction time; a throwaway build seeds it and Rebind swaps in the
-// real per-scenario world before first use. Speculation is off: campaign
-// scripts are short and serial, so lookahead buys nothing and keeping the
-// pipeline synchronous makes the quiescence contract of the reset path
-// trivially true.
-func (dr *deckRuntime) newStack() (*stack, error) {
+	// core.New needs an environment at construction time; a throwaway
+	// build seeds it and Rebind swaps in the real per-scenario world
+	// before first use.
 	boot, err := env.Build(dr.deck.Compiled, env.StageTestbed, 0)
 	if err != nil {
 		return nil, err
 	}
-	sm, err := sim.New(dr.deck.Compiled,
+	return newStack(dr.deck.Compiled, dr.deck.Rulebase, boot, dr.simPlans, dr.deck.Profiles, dr.incidentDir)
+}
+
+func (dr *deckRuntime) put(st *stack) { dr.pool.Put(st) }
+
+// newStack assembles one engine stack over a lab: extended simulator
+// (validating through plans, and reusing profiles for the arms it covers
+// — nil solves every arm's profile afresh), flight recorder and engine.
+// The pool builds one per deck and reuses it; the naive baseline builds
+// one per scenario from freshly compiled parts. Speculation is off:
+// campaign scripts are short and serial, so lookahead buys nothing and
+// keeping the pipeline synchronous makes the quiescence contract of the
+// reset path trivially true.
+func newStack(lab *config.Lab, rb *rules.Rulebase, e core.Environment, plans *kin.PlanCache,
+	profiles map[string]*kin.Profile, incidentDir string) (*stack, error) {
+	sm, err := sim.New(lab,
 		sim.WithHeldObjectAware(true),
 		sim.WithMotionCache(true),
-		sim.WithSharedPlanCache(dr.simPlans),
-		sim.WithArmProfiles(dr.deck.Profiles))
+		sim.WithSharedPlanCache(plans),
+		sim.WithArmProfiles(profiles))
 	if err != nil {
 		return nil, err
 	}
-	rec := recorder.New(recorder.Options{Depth: stackRecorderDepth, Dir: dr.incidentDir})
-	eng := core.New(dr.deck.Rulebase, boot,
-		core.WithInitialModel(dr.deck.Compiled.InitialModelState()),
+	rec := recorder.New(recorder.Options{Depth: stackRecorderDepth, Dir: incidentDir})
+	eng := core.New(rb, e,
+		core.WithInitialModel(lab.InitialModelState()),
 		core.WithSimulator(sm),
 		core.WithRecorder(rec),
 		core.WithSpeculation(false))
 	return &stack{eng: eng, sm: sm, rec: rec}, nil
+}
+
+// run replays the scenario through the stack against world e — re-tag
+// the recorder, rebind the engine, run the steps — and classifies the
+// outcome: read the alert verdict and, when the oracle says unsafe but
+// the checker stayed silent, freeze the scenario's command window into
+// a missed-injection bundle.
+func (st *stack) run(sc *Scenario, lab *config.Lab, e *env.Env, oracleUnsafe bool, detail string) (alerted bool, runErr error, filed int64) {
+	st.rec.Reset(fmt.Sprintf("s%07d", sc.Index))
+	st.eng.Rebind(e)
+	ic := trace.NewInterceptor(st.eng, e)
+	ic.SetRecorder(st.rec)
+	ses := workflow.NewSession(ic, lab)
+	ses.Measure = e.MeasureSolubility
+	sc.ApplyLocs(ses)
+	stepErr := workflow.RunSteps(ses, sc.Steps())
+	alerted = len(st.eng.Alerts()) > 0
+	var al *core.Alert
+	if stepErr != nil && !errors.As(stepErr, &al) {
+		runErr = stepErr
+	}
+	if oracleUnsafe && !alerted && st.rec.Dir() != "" {
+		st.rec.FileSnapshot("missed_unsafe_injection", detail, e.Now().Nanoseconds())
+		filed = 1
+	}
+	return alerted, runErr, filed
 }

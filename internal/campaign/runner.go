@@ -12,12 +12,9 @@ import (
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/env"
 	"repro/internal/kin"
-	"repro/internal/obs/recorder"
 	"repro/internal/rules"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workflow"
 )
@@ -313,24 +310,6 @@ func runOracle(sc *Scenario, plans *kin.PlanCache) (unsafe bool, micros int64, d
 	return true, micros, detail, err
 }
 
-// finishProtected is the classification tail shared by the pooled and
-// naive paths: read the alert verdict and, when the oracle says unsafe
-// but the checker stayed silent, freeze the scenario's command window
-// into a missed-injection bundle.
-func finishProtected(eng *core.Engine, rec *recorder.Recorder, e *env.Env,
-	runErr error, oracleUnsafe bool, detail string) (alerted bool, rErr error, filed int64) {
-	alerted = len(eng.Alerts()) > 0
-	var al *core.Alert
-	if runErr != nil && !errors.As(runErr, &al) {
-		rErr = runErr
-	}
-	if oracleUnsafe && !alerted && rec.Dir() != "" {
-		rec.FileSnapshot("missed_unsafe_injection", detail, e.Now().Nanoseconds())
-		filed = 1
-	}
-	return alerted, rErr, filed
-}
-
 // runPooled replays the scenario through a pooled stack: fresh world,
 // reset simulator mirror, re-tagged recorder, rebound engine — and
 // everything expensive reused.
@@ -346,15 +325,7 @@ func (dr *deckRuntime) runPooled(sc *Scenario, oracleUnsafe bool, detail string)
 	}
 	campaignWorld(e, dr.worldPlans)
 	st.sm.Reset()
-	st.rec.Reset(fmt.Sprintf("s%07d", sc.Index))
-	st.eng.Rebind(e)
-	ic := trace.NewInterceptor(st.eng, e)
-	ic.SetRecorder(st.rec)
-	ses := workflow.NewSession(ic, dr.deck.Compiled)
-	ses.Measure = e.MeasureSolubility
-	sc.ApplyLocs(ses)
-	stepErr := workflow.RunSteps(ses, sc.Steps())
-	alerted, runErr, filed = finishProtected(st.eng, st.rec, e, stepErr, oracleUnsafe, detail)
+	alerted, runErr, filed = st.run(sc, dr.deck.Compiled, e, oracleUnsafe, detail)
 	return alerted, runErr, filed, nil
 }
 
@@ -386,30 +357,10 @@ func runNaive(sc *Scenario, incidentDir string, oracleUnsafe bool, detail string
 	// lands on exactly the branches the pooled mode's shared caches
 	// replay — the modes must agree scenario-by-scenario, not just in
 	// aggregate.
-	sm, err := sim.New(lab,
-		sim.WithHeldObjectAware(true),
-		sim.WithMotionCache(true),
-		sim.WithSharedPlanCache(exactPlanCache()))
+	st, err := newStack(lab, rb, e, exactPlanCache(), nil, incidentDir)
 	if err != nil {
 		return false, nil, 0, err
 	}
-	rec := recorder.New(recorder.Options{
-		Depth: stackRecorderDepth,
-		Dir:   incidentDir,
-		Tag:   fmt.Sprintf("s%07d", sc.Index),
-	})
-	eng := core.New(rb, e,
-		core.WithInitialModel(lab.InitialModelState()),
-		core.WithSimulator(sm),
-		core.WithRecorder(rec),
-		core.WithSpeculation(false))
-	eng.Start()
-	ic := trace.NewInterceptor(eng, e)
-	ic.SetRecorder(rec)
-	ses := workflow.NewSession(ic, lab)
-	ses.Measure = e.MeasureSolubility
-	sc.ApplyLocs(ses)
-	stepErr := workflow.RunSteps(ses, sc.Steps())
-	alerted, runErr, filed = finishProtected(eng, rec, e, stepErr, oracleUnsafe, detail)
+	alerted, runErr, filed = st.run(sc, lab, e, oracleUnsafe, detail)
 	return alerted, runErr, filed, nil
 }

@@ -278,11 +278,15 @@ type Engine struct {
 	draining atomic.Bool
 	inflight atomic.Int64
 
-	// shardMu guards the per-device shard table (see shard.go).
+	// shardMu guards the per-device shard table (see shard.go). shardGen
+	// counts ticket releases; released holds each device's shardGen as of
+	// its last release.
 	shardMu  sync.Mutex
 	shards   map[string]*sync.Mutex
 	inFlight map[string]int
 	tickets  map[string]*shardTicket
+	shardGen uint64
+	released map[string]uint64
 
 	// obs is the telemetry registry; the instruments below are resolved
 	// once at construction so the hot path never takes a map lookup.
@@ -373,6 +377,7 @@ func (e *Engine) Start() {
 	e.shards = map[string]*sync.Mutex{}
 	e.inFlight = map[string]int{}
 	e.tickets = map[string]*shardTicket{}
+	e.released = map[string]uint64{}
 	e.shardMu.Unlock()
 	// A fresh run measures from zero: reset the engine-owned instruments
 	// (cached pointers stay valid; other components' instruments in a
@@ -461,14 +466,6 @@ func (e *Engine) raise(a Alert, fs **Alert) *Alert {
 	for _, v := range a.Violations {
 		e.obs.Counter(obs.PrefixViolations + v.Rule.ID).Inc()
 	}
-	e.obs.Emit(obs.Event{
-		T:      a.Time,
-		Kind:   "alert",
-		Name:   a.Kind.Slug(),
-		Device: a.Cmd.Device,
-		Seq:    a.Cmd.Seq,
-		Detail: stored.Error(),
-	})
 	if fs != nil {
 		*fs = stored
 	}
@@ -570,62 +567,47 @@ func (e *Engine) beforeGlobal(cmd action.Command, start time.Time, fs **Alert) e
 		return fmt.Errorf("%w: %s", ErrStopped, stopped.Error())
 	}
 	act := e.beginRecord(cmd, recorder.PathGlobal)
-	tctx := e.traceOf(cmd, act)
+	sc := e.traceOf(cmd, act)
 	// Stage boundaries share clock reads to keep instrumentation under
 	// 1% of a check: before.validate runs from Before's entry (it covers
 	// normalization + rule evaluation) and its end stamp doubles as
-	// before.trajectory's start. Trace spans reuse the same stamps.
-	traceID := ""
-	if tctx.Valid() {
-		traceID = tctx.Trace.String()
-	}
+	// before.trajectory's start.
 	e.stateMu.RLock()
-	vs := e.rb.ValidateObserved(e.model, cmd, e.ruleMetrics, traceID)
+	vs := e.rb.ValidateObserved(e.model, cmd, e.ruleMetrics, sc.trace)
 	if act != nil {
 		scope := recordScope(cmd, e.model.GetString(state.ContainerInside(cmd.Device)))
 		act.R.Pre = recorder.CaptureView(e.model, scope)
 	}
 	e.stateMu.RUnlock()
 	validateEnd := time.Now()
-	vd := validateEnd.Sub(start)
-	e.hValidate.ObserveExemplar(vd, traceID)
-	if act != nil {
-		act.R.Spans.ValidateNS = vd.Nanoseconds()
-	}
+	var al *Alert
 	if len(vs) > 0 {
-		al := e.raise(Alert{Kind: AlertInvalidCommand, Cmd: cmd, Violations: vs}, fs)
-		e.stageSpan(tctx, obs.StageValidate, start, validateEnd, al)
+		al = e.raise(Alert{Kind: AlertInvalidCommand, Cmd: cmd, Violations: vs}, fs)
+	}
+	e.stage(sc, obs.StageValidate, nil, start, validateEnd, al)
+	if al != nil {
 		e.recordAlert(act, al)
 		return al
 	}
-	e.stageSpan(tctx, obs.StageValidate, start, validateEnd, nil)
 	if cmd.Action.IsRobotMotion() && e.sim != nil {
-		// The trajectory span is the one pre-created (not retroactive)
-		// span: the simulator's kin/sim child spans need its context
-		// before the call runs.
-		tspan := e.tracer.StartSpanAt(tctx, obs.StageTrajectory, validateEnd)
+		// The trajectory span opens before the check: the simulator's
+		// kin/sim child spans need its context while the call runs.
+		tspan := e.tracer.StartSpanAt(sc.tctx, obs.StageTrajectory, validateEnd)
 		e.stateMu.RLock()
 		v, err := e.sim.ValidTrajectory(cmd, e.model, tspan.Context())
 		e.stateMu.RUnlock()
+		trajEnd := time.Now()
 		if act != nil {
 			act.R.Verdict = v
 		}
-		trajEnd := time.Now()
-		td := trajEnd.Sub(validateEnd)
-		e.hTrajectory.ObserveExemplar(td, traceID)
-		if act != nil {
-			act.R.Spans.TrajectoryNS = td.Nanoseconds()
-		}
 		if err != nil {
-			al := e.raise(Alert{Kind: AlertInvalidTrajectory, Cmd: cmd, Reason: err.Error()}, fs)
-			if tspan != nil {
-				tspan.MarkAlert(al.Kind.Slug(), al.Error())
-			}
-			tspan.EndAt(trajEnd)
+			al = e.raise(Alert{Kind: AlertInvalidTrajectory, Cmd: cmd, Reason: err.Error()}, fs)
+		}
+		e.stage(sc, obs.StageTrajectory, tspan, validateEnd, trajEnd, al)
+		if al != nil {
 			e.recordAlert(act, al)
 			return al
 		}
-		tspan.EndAt(trajEnd)
 	}
 	e.stateMu.RLock()
 	if e.pending == nil {
@@ -666,19 +648,18 @@ func (e *Engine) afterGlobal(cmd action.Command, start time.Time, fs **Alert) er
 			act = a
 		}
 	}
-	tctx := e.traceOf(cmd, act)
-	traceID := ""
-	if tctx.Valid() {
-		traceID = tctx.Trace.String()
-	}
+	sc := e.traceOf(cmd, act)
 	// after.fetch runs from After's entry through state acquisition; its
-	// end stamp doubles as after.compare's start (see Before).
+	// end stamp doubles as after.compare's start (see Before). Sharded
+	// commands may settle their devices while the fetch runs; since marks
+	// where that window opens (see dropInFlight).
+	since := e.shardGeneration()
 	observed := e.env.FetchState()
-	e.dropInFlight(observed)
 	fetchEnd := time.Now()
-	fd := fetchEnd.Sub(start)
-	e.hFetch.ObserveExemplar(fd, traceID)
-	e.stateMu.RLock()
+	// Filter, compare and commit share one write section, so no sharded
+	// commit can land between them.
+	e.stateMu.Lock()
+	e.dropInFlight(observed, since)
 	var expected state.View = e.model
 	if pending != nil {
 		expected = pending
@@ -688,18 +669,24 @@ func (e *Engine) afterGlobal(cmd action.Command, start time.Time, fs **Alert) er
 		scope := recordScope(cmd, e.model.GetString(state.ContainerInside(cmd.Device)))
 		act.R.Observed = recorder.CaptureView(observed, scope)
 	}
-	e.stateMu.RUnlock()
 	compareEnd := time.Now()
-	cd := compareEnd.Sub(fetchEnd)
-	e.hCompare.ObserveExemplar(cd, traceID)
-	if act != nil {
-		act.R.Spans.FetchNS = fd.Nanoseconds()
-		act.R.Spans.CompareNS = cd.Nanoseconds()
+	// S_current ← SetState(S_actual): observed facts win, dead-reckoned
+	// model facts persist. The pending overlay commits its edits into the
+	// live model in place — no full-map clone on the hot path — and any
+	// deck-relevant change bumps the simulator's epoch in the same
+	// critical section (see commitModel).
+	var epoch uint64
+	if len(ms) == 0 {
+		epoch = e.commitModel(pending, observed, cmd)
 	}
-	e.stageSpan(tctx, obs.StageFetch, start, fetchEnd, nil)
+	e.stateMu.Unlock()
+	e.stage(sc, obs.StageFetch, nil, start, fetchEnd, nil)
+	var al *Alert
 	if len(ms) > 0 {
-		al := e.raise(Alert{Kind: AlertMalfunction, Cmd: cmd, Mismatches: ms}, fs)
-		e.stageSpan(tctx, obs.StageCompare, fetchEnd, compareEnd, al)
+		al = e.raise(Alert{Kind: AlertMalfunction, Cmd: cmd, Mismatches: ms}, fs)
+	}
+	e.stage(sc, obs.StageCompare, nil, fetchEnd, compareEnd, al)
+	if al != nil {
 		e.recordAlert(act, al)
 		by := ""
 		if act != nil {
@@ -708,13 +695,6 @@ func (e *Engine) afterGlobal(cmd action.Command, start time.Time, fs **Alert) er
 		e.settleBatch(recs, act, by)
 		return al
 	}
-	e.stageSpan(tctx, obs.StageCompare, fetchEnd, compareEnd, nil)
-	// S_current ← SetState(S_actual): observed facts win, dead-reckoned
-	// model facts persist. The pending overlay commits its edits into the
-	// live model in place — no full-map clone on the hot path — and any
-	// deck-relevant change bumps the simulator's epoch in the same
-	// critical section (see commitModel).
-	epoch := e.commitModel(pending, observed, cmd)
 	if act != nil {
 		act.R.Verdict.EpochAtCommit = epoch
 		act.Commit()

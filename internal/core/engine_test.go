@@ -239,7 +239,7 @@ func TestEngineTrajectoryValidatorWiring(t *testing.T) {
 	e = newEngine(env, WithSimulator(sim), WithTracer(tr), WithRecorder(rec))
 	move.Seq = 1
 	id := tr.StartTrace()
-	root := tr.StartRoot(id, "command")
+	root := tr.StartRoot(id, "command", time.Now())
 	tr.Bind(move.Device, move.Seq, root.Context())
 	if err := e.Before(move); err != nil {
 		t.Fatal(err)

@@ -10,8 +10,11 @@ import (
 	"repro/internal/action"
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/obs/recorder"
+	otrace "repro/internal/obs/trace"
 	"repro/internal/rules"
 	"repro/internal/state"
+	"repro/internal/trace"
 )
 
 func mkViolation(id string, n int) rules.Violation {
@@ -97,8 +100,6 @@ func TestEngineAlertTelemetry(t *testing.T) {
 		state.Running("dd"):    state.Bool(true),
 	}}
 	reg := obs.NewRegistry("t")
-	mem := &obs.MemorySink{}
-	reg.SetSink(mem)
 	e := newEngine(env, WithObserver(reg))
 
 	if err := e.Before(action.Command{Device: "dd", Action: action.OpenDoor}); err == nil {
@@ -109,10 +110,6 @@ func TestEngineAlertTelemetry(t *testing.T) {
 	}
 	if got := reg.Counter(obs.PrefixViolations + "general-10").Value(); got != 1 {
 		t.Errorf("violation counter = %d, want 1", got)
-	}
-	evs := mem.Events()
-	if len(evs) != 1 || evs[0].Kind != "alert" || evs[0].Name != "invalid_command" || evs[0].Device != "dd" {
-		t.Fatalf("alert event wrong: %+v", evs)
 	}
 }
 
@@ -248,5 +245,86 @@ func TestEngineStartResetsAlertCounters(t *testing.T) {
 	}
 	if len(e.Alerts()) != 0 {
 		t.Errorf("alerts after restart: %v", e.Alerts())
+	}
+}
+
+// TestOneNumberPerStage drives a sharded command, a global command and
+// a motion command through an interceptor with the tracer and flight
+// recorder on, and checks that every stage reports one duration: the
+// stage histogram's sum delta, the flight record's span field and the
+// retained trace span agree to the nanosecond. The intercept stage has
+// no record field, so its histogram is checked against the root span.
+func TestOneNumberPerStage(t *testing.T) {
+	env := &fakeEnv{observed: state.Snapshot{}}
+	reg := obs.NewRegistry("t")
+	tr := otrace.NewTracer(otrace.Options{SampleRate: 1, Seed: 1})
+	rec := recorder.New(recorder.Options{Depth: 64})
+	e := newEngine(env, WithObserver(reg), WithSimulator(&fakeSim{}), WithTracer(tr), WithRecorder(rec))
+	ic := trace.NewInterceptor(e, env)
+	ic.SetObserver(reg)
+	ic.SetTracer(tr)
+	ic.SetRecorder(rec)
+
+	recordNS := map[string]func(recorder.Spans) int64{
+		obs.StageValidate:   func(s recorder.Spans) int64 { return s.ValidateNS },
+		obs.StageTrajectory: func(s recorder.Spans) int64 { return s.TrajectoryNS },
+		obs.StageFetch:      func(s recorder.Spans) int64 { return s.FetchNS },
+		obs.StageCompare:    func(s recorder.Spans) int64 { return s.CompareNS },
+		obs.StageExecute:    func(s recorder.Spans) int64 { return s.ExecNS },
+		obs.StageIntercept:  nil,
+	}
+	for _, tc := range []struct {
+		name    string
+		cmd     action.Command
+		sharded bool
+	}{
+		{"sharded", action.Command{Device: "dd", Action: action.OpenDoor}, true},
+		{"global", action.Command{Device: "dd", Action: action.CloseDoor}, false},
+		{"motion", action.Command{Device: "arm", Action: action.MoveRobot, Target: geom.V(0.2, 0, 0.2)}, false},
+	} {
+		if got := e.routeSharded(tc.cmd); got != tc.sharded {
+			t.Fatalf("%s: routeSharded = %v, want %v", tc.name, got, tc.sharded)
+		}
+		before := map[string]time.Duration{}
+		for stage := range recordNS {
+			before[stage] = reg.Histogram(stage).Sum()
+		}
+		if err := ic.Do(tc.cmd); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		id, retained := ic.FinishTrace()
+		if !retained {
+			t.Fatalf("%s: trace not retained", tc.name)
+		}
+		spans := map[string]otrace.SpanData{}
+		for _, sd := range tr.Find(id).Spans {
+			spans[sd.Name] = sd
+		}
+		win := rec.Window()
+		last := win[len(win)-1]
+		if last.Device != tc.cmd.Device || last.Outcome != "ok" {
+			t.Fatalf("%s: last record %+v is not the command's", tc.name, last)
+		}
+		for stage, field := range recordNS {
+			hist := (reg.Histogram(stage).Sum() - before[stage]).Nanoseconds()
+			sd, ok := spans[stage]
+			if stage == obs.StageTrajectory && tc.name != "motion" {
+				if hist != 0 || ok || last.Spans.TrajectoryNS != 0 {
+					t.Errorf("%s: non-motion command timed a trajectory stage", tc.name)
+				}
+				continue
+			}
+			if !ok {
+				t.Errorf("%s: no %s span retained", tc.name, stage)
+				continue
+			}
+			span := sd.End.Sub(sd.Start).Nanoseconds()
+			if hist != span {
+				t.Errorf("%s: %s histogram %dns, span %dns", tc.name, stage, hist, span)
+			}
+			if field != nil && field(last.Spans) != hist {
+				t.Errorf("%s: %s record %dns, histogram %dns", tc.name, stage, field(last.Spans), hist)
+			}
+		}
 	}
 }

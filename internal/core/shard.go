@@ -9,7 +9,6 @@ import (
 	"repro/internal/action"
 	"repro/internal/obs"
 	"repro/internal/obs/recorder"
-	otrace "repro/internal/obs/trace"
 	"repro/internal/state"
 )
 
@@ -42,10 +41,9 @@ type shardTicket struct {
 	scopeSet map[string]bool
 	locks    []*sync.Mutex // acquired in scope order
 	expected *state.Overlay
-	rec      *recorder.Active // flight-recorder record, nil when off
-	// tctx is the command's root span context (zero when tracing is off),
-	// resolved once in Before and reused by After's stage spans.
-	tctx otrace.SpanContext
+	// stageCtx holds the command's flight record and trace binding,
+	// resolved once in Before and reused by After's stages.
+	stageCtx
 }
 
 // routeSharded decides the pipeline for a command.
@@ -126,10 +124,12 @@ func (e *Engine) registerTicket(device string, t *shardTicket) {
 // mutexes in reverse order.
 func (e *Engine) releaseTicket(device string, t *shardTicket) {
 	e.shardMu.Lock()
+	e.shardGen++
 	for _, id := range t.scope {
 		if e.inFlight[id]--; e.inFlight[id] <= 0 {
 			delete(e.inFlight, id)
 		}
+		e.released[id] = e.shardGen
 	}
 	delete(e.tickets, device)
 	e.shardMu.Unlock()
@@ -145,24 +145,31 @@ func (e *Engine) lookupTicket(device string) *shardTicket {
 	return e.tickets[device]
 }
 
-// dropInFlight removes from a full observed snapshot every key owned by a
-// device some sharded command currently holds. Those keys' transitions
-// belong to the in-flight command's own After; comparing or committing
-// them here would raise spurious malfunctions (the global path would see
-// effects it has no expectation for) or clobber fresher expectations.
-func (e *Engine) dropInFlight(observed state.Snapshot) {
+// shardGeneration reads the count of shard ticket releases so far.
+func (e *Engine) shardGeneration() uint64 {
 	e.shardMu.Lock()
-	if len(e.inFlight) == 0 {
-		e.shardMu.Unlock()
+	defer e.shardMu.Unlock()
+	return e.shardGen
+}
+
+// dropInFlight removes from a full observed snapshot every key owned by a
+// device that a sharded command holds now or has released since
+// generation since, read before the snapshot was fetched. Those keys'
+// transitions belong to the sharded command's own After; comparing or
+// committing them here would raise spurious malfunctions (the global path
+// would see effects it has no expectation for, or a stale fetch of
+// effects the sharded command already committed) or clobber fresher
+// expectations. The caller holds stateMu, so a device whose sharded
+// command commits after the fetch is caught: it is in flight or was
+// released after since, until the caller lets go.
+func (e *Engine) dropInFlight(observed state.Snapshot, since uint64) {
+	e.shardMu.Lock()
+	defer e.shardMu.Unlock()
+	if len(e.inFlight) == 0 && e.shardGen == since {
 		return
 	}
-	busy := make(map[string]bool, len(e.inFlight))
-	for id := range e.inFlight {
-		busy[id] = true
-	}
-	e.shardMu.Unlock()
 	for k := range observed {
-		if args := k.Args(); len(args) > 0 && busy[args[0]] {
+		if args := k.Args(); len(args) > 0 && (e.inFlight[args[0]] > 0 || e.released[args[0]] > since) {
 			delete(observed, k)
 		}
 	}
@@ -220,14 +227,9 @@ func (e *Engine) beforeSharded(cmd action.Command, start time.Time, fs **Alert) 
 		e.releaseTicket(cmd.Device, t)
 		return fmt.Errorf("%w: %s", ErrStopped, stopped.Error())
 	}
-	t.rec = e.beginRecord(cmd, recorder.PathSharded)
-	t.tctx = e.traceOf(cmd, t.rec)
-	traceID := ""
-	if t.tctx.Valid() {
-		traceID = t.tctx.Trace.String()
-	}
+	t.stageCtx = e.traceOf(cmd, e.beginRecord(cmd, recorder.PathSharded))
 	e.stateMu.RLock()
-	vs := e.rb.ValidateObserved(e.model, cmd, e.ruleMetrics, traceID)
+	vs := e.rb.ValidateObserved(e.model, cmd, e.ruleMetrics, t.trace)
 	if len(vs) == 0 {
 		t.expected = e.rb.ExpectedOverlay(e.model, cmd)
 	}
@@ -237,19 +239,16 @@ func (e *Engine) beforeSharded(cmd action.Command, start time.Time, fs **Alert) 
 	}
 	e.stateMu.RUnlock()
 	validateEnd := time.Now()
-	vd := validateEnd.Sub(start)
-	e.hValidate.ObserveExemplar(vd, traceID)
-	if t.rec != nil {
-		t.rec.R.Spans.ValidateNS = vd.Nanoseconds()
-	}
+	var al *Alert
 	if len(vs) > 0 {
 		e.releaseTicket(cmd.Device, t)
-		al := e.raise(Alert{Kind: AlertInvalidCommand, Cmd: cmd, Violations: vs}, fs)
-		e.stageSpan(t.tctx, obs.StageValidate, start, validateEnd, al)
+		al = e.raise(Alert{Kind: AlertInvalidCommand, Cmd: cmd, Violations: vs}, fs)
+	}
+	e.stage(t.stageCtx, obs.StageValidate, nil, start, validateEnd, al)
+	if al != nil {
 		e.recordAlert(t.rec, al)
 		return al
 	}
-	e.stageSpan(t.tctx, obs.StageValidate, start, validateEnd, nil)
 	if t.rec != nil {
 		t.rec.R.Expected = recorder.CaptureEdits(t.expected)
 	}
@@ -270,37 +269,31 @@ func (e *Engine) afterSharded(cmd action.Command, start time.Time, fs **Alert) e
 		return fmt.Errorf("%w: %s", ErrStopped, stopped.Error())
 	}
 	e.cCommands.Inc()
-	traceID := ""
-	if t.tctx.Valid() {
-		traceID = t.tctx.Trace.String()
-	}
 	observed := e.fetchScoped(t)
 	fetchEnd := time.Now()
-	fd := fetchEnd.Sub(start)
-	e.hFetch.ObserveExemplar(fd, traceID)
 	e.stateMu.RLock()
 	ms := state.CompareObservedView(t.expected, observed)
 	e.stateMu.RUnlock()
 	compareEnd := time.Now()
-	cd := compareEnd.Sub(fetchEnd)
-	e.hCompare.ObserveExemplar(cd, traceID)
 	if t.rec != nil {
-		t.rec.R.Spans.FetchNS = fd.Nanoseconds()
-		t.rec.R.Spans.CompareNS = cd.Nanoseconds()
 		t.rec.R.Observed = recorder.CaptureView(observed, t.scope)
 	}
-	e.stageSpan(t.tctx, obs.StageFetch, start, fetchEnd, nil)
+	e.stage(t.stageCtx, obs.StageFetch, nil, start, fetchEnd, nil)
+	var al *Alert
 	if len(ms) > 0 {
-		al := e.raise(Alert{Kind: AlertMalfunction, Cmd: cmd, Mismatches: ms}, fs)
-		e.stageSpan(t.tctx, obs.StageCompare, fetchEnd, compareEnd, al)
+		al = e.raise(Alert{Kind: AlertMalfunction, Cmd: cmd, Mismatches: ms}, fs)
+	}
+	e.stage(t.stageCtx, obs.StageCompare, nil, fetchEnd, compareEnd, al)
+	if al != nil {
 		e.recordAlert(t.rec, al)
 		return al
 	}
-	e.stageSpan(t.tctx, obs.StageCompare, fetchEnd, compareEnd, nil)
 	// Sharded commands are never robot motion, but they do flip doors and
 	// held objects — exactly the deck-relevant changes the commit section
 	// must pair with an epoch bump (see commitModel).
+	e.stateMu.Lock()
 	epoch := e.commitModel(t.expected, observed, cmd)
+	e.stateMu.Unlock()
 	if t.rec != nil {
 		t.rec.R.Verdict.EpochAtCommit = epoch
 		t.rec.Commit()

@@ -45,14 +45,13 @@ func WithSpeculation(on bool) Option {
 
 // commitModel is the single commit section both pipelines share:
 // S_current ← pending edits, then observed facts, under one stateMu
-// acquisition. When the attached simulator keeps a deck epoch, any
-// deck-relevant change bumps it inside the same critical section, so no
-// trajectory check can ever pair the new model with the old epoch. The
-// returned value is the deck epoch as of the commit (post-bump; 0
-// without an epoch-keeping simulator) — the flight recorder stamps it
-// next to the epoch the command validated under.
+// write section the caller holds. When the attached simulator keeps a
+// deck epoch, any deck-relevant change bumps it inside the same critical
+// section, so no trajectory check can ever pair the new model with the
+// old epoch. The returned value is the deck epoch as of the commit
+// (post-bump; 0 without an epoch-keeping simulator) — the flight
+// recorder stamps it next to the epoch the command validated under.
 func (e *Engine) commitModel(pending *state.Overlay, observed state.Snapshot, cmd action.Command) uint64 {
-	e.stateMu.Lock()
 	deckChanged := false
 	detect := e.spec != nil
 	if pending != nil {
@@ -79,7 +78,6 @@ func (e *Engine) commitModel(pending *state.Overlay, observed state.Snapshot, cm
 	if e.sim != nil && cmd.Action.IsRobotMotion() {
 		e.sim.Observe(cmd, e.model)
 	}
-	e.stateMu.Unlock()
 	return epoch
 }
 
@@ -148,7 +146,7 @@ func (e *Engine) Hint(cur, next action.Command) {
 		// The speculation span joins the hinting command's trace: the
 		// lookahead is causally an effect of cur's execution window, and a
 		// verdict it caches may explain a later command's fast pass.
-		sspan := e.tracer.StartSpanAt(tctx, "speculate", specStart)
+		sspan := e.tracer.StartSpanAt(tctx, stageSpeculate, specStart)
 		sspan.SetAttr("device", next.Device)
 		sspan.SetIntAttr("seq", next.Seq)
 		corr := ""
@@ -157,21 +155,18 @@ func (e *Engine) Hint(cur, next action.Command) {
 			if tctx.Valid() {
 				spec.R.Trace = tctx.Trace.String()
 			}
-		}
-		if spec != nil {
 			spec.R.TNS = e.env.Now().Nanoseconds()
 			spec.R.Verdict = recorder.Verdict{Source: recorder.SourceSpeculative, EpochAtValidation: epoch}
 		}
 		ran := e.spec.SpeculateAfter(cur, next, model, epoch, corr, sspan.Context())
+		specEnd := time.Now()
 		if ran {
 			e.cSpeculations.Inc()
-		}
-		if !ran {
+		} else {
 			sspan.SetAttr("skipped", "true")
 		}
-		sspan.End()
+		e.stage(stageCtx{rec: spec}, stageSpeculate, sspan, specStart, specEnd, nil)
 		if spec != nil {
-			spec.R.Spans.TrajectoryNS = time.Since(specStart).Nanoseconds()
 			if !ran {
 				spec.R.Outcome = "skipped"
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/action"
 	"repro/internal/geom"
@@ -186,7 +187,7 @@ func TestHintPassesCorrAndSpan(t *testing.T) {
 	cur := action.Command{Device: "arm", Action: action.MoveRobot, Target: geom.V(0.2, 0.1, 0.2), Seq: 1}
 	next := action.Command{Device: "arm", Action: action.MoveRobot, Target: geom.V(0.3, 0.1, 0.2), Seq: 2}
 	id := tr.StartTrace()
-	root := tr.StartRoot(id, "command")
+	root := tr.StartRoot(id, "command", time.Now())
 	tr.Bind(cur.Device, cur.Seq, root.Context())
 	e.Hint(cur, next)
 	e.WaitSpeculation()

@@ -1,21 +1,19 @@
-// Package obs is RABIT's zero-dependency telemetry subsystem: spans,
-// counters, gauges, and latency histograms for the interception pipeline,
-// plus sinks that expose them — an in-process snapshot API, a JSONL
-// structured-event stream for offline analysis, and an expvar-backed HTTP
-// endpoint with a /metrics text view and pprof.
+// Package obs is RABIT's zero-dependency telemetry subsystem: counters,
+// gauges, and latency histograms for the interception pipeline, plus
+// the views that expose them — an in-process snapshot API and an
+// expvar-backed HTTP endpoint with a /metrics text view and pprof.
 //
 // The paper's Section II-C evaluation measures RABIT's checking overhead
 // as a single aggregate; obs decomposes it. Every stage of a check —
 // precondition validation, the Extended-Simulator collision sweep, the
-// post-state fetch and comparison — runs inside a Span, and spans feed
-// fixed-bucket histograms whose quantiles (p50/p95/p99/max) reconstruct
-// the latency table per stage. Counters track commands, alerts by kind,
-// violations by rule, and outcomes by device.
+// post-state fetch and comparison — is timed by one pair of clock reads
+// that feed a fixed-bucket histogram, whose quantiles (p50/p95/p99/max)
+// reconstruct the latency table per stage. Counters track commands,
+// alerts by kind, violations by rule, and outcomes by device.
 //
 // Everything on the hot path is lock-free: counters and gauges are single
-// atomics, histograms are arrays of atomics, and spans are plain values
-// (two time.Now calls and one histogram observation). Instrumentation
-// stays well under 1% of a check's cost — BenchmarkObsOverhead in
+// atomics and histograms are arrays of atomics. Instrumentation stays
+// well under 1% of a check's cost — BenchmarkObsOverhead in
 // internal/core proves it. All types tolerate nil receivers, so a
 // component built without a registry pays only a predictable branch.
 package obs
@@ -25,7 +23,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing count, updated atomically.
@@ -89,42 +86,11 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Span is one timed region in flight. Spans are plain values — starting
-// one costs a clock read, ending one costs a clock read plus a histogram
-// observation — and nest freely (each stage simply starts its own).
-type Span struct {
-	h     *Histogram
-	start time.Time
-}
-
-// End closes the span, records its duration into the backing histogram,
-// and returns the duration. Safe on a zero Span (returns 0).
-func (s Span) End() time.Duration {
-	if s.start.IsZero() {
-		return 0
-	}
-	d := time.Since(s.start)
-	s.h.Observe(d)
-	return d
-}
-
-// EndAt closes the span at an externally measured end time — for stages
-// whose boundary timestamp is shared with the next stage, saving a clock
-// read.
-func (s Span) EndAt(end time.Time) time.Duration {
-	if s.start.IsZero() {
-		return 0
-	}
-	d := end.Sub(s.start)
-	s.h.Observe(d)
-	return d
-}
-
 // Registry is one component's telemetry namespace: named counters,
-// gauges, and histograms, plus an optional event sink. The zero value is
-// not usable; call NewRegistry. A nil *Registry is a valid "telemetry
-// off" registry: every method no-ops or returns nil instruments, which
-// themselves no-op.
+// gauges, and histograms. The zero value is not usable; call
+// NewRegistry. A nil *Registry is a valid "telemetry off" registry:
+// every method no-ops or returns nil instruments, which themselves
+// no-op.
 type Registry struct {
 	name string
 
@@ -133,12 +99,7 @@ type Registry struct {
 	gauges map[string]*Gauge
 	hists  map[string]*Histogram
 	fams   map[string]*Family
-
-	sink atomic.Pointer[sinkBox]
 }
-
-// sinkBox wraps an EventSink so a nil sink can be stored atomically.
-type sinkBox struct{ s EventSink }
 
 // NewRegistry builds an empty registry. The name labels the registry in
 // multi-registry sinks (each rabit.System owns one).
@@ -220,43 +181,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// StartSpan opens a span feeding the named histogram. Equivalent to
-// r.Histogram(name).Start() but nil-safe end to end.
-func (r *Registry) StartSpan(name string) Span {
-	return r.Histogram(name).Start()
-}
-
-// Start opens a span on this histogram. Nil-safe: the span still times,
-// but End discards the observation.
-func (h *Histogram) Start() Span {
-	return Span{h: h, start: time.Now()}
-}
-
-// SetSink installs (or, with nil, removes) the structured-event sink.
-// Nil-safe.
-func (r *Registry) SetSink(s EventSink) {
-	if r == nil {
-		return
-	}
-	r.sink.Store(&sinkBox{s: s})
-}
-
-// Emit sends a structured event to the sink, if one is installed. The
-// no-sink fast path is one atomic load. Nil-safe.
-func (r *Registry) Emit(ev Event) {
-	if r == nil {
-		return
-	}
-	box := r.sink.Load()
-	if box == nil || box.s == nil {
-		return
-	}
-	if ev.Registry == "" {
-		ev.Registry = r.name
-	}
-	box.s.Emit(ev)
 }
 
 // Reset zeroes every counter and histogram and leaves gauges and the

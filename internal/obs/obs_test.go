@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -41,18 +40,9 @@ func TestNilSafety(t *testing.T) {
 	r.Counter("x").Inc()
 	r.Gauge("y").Set(3)
 	r.Histogram("z").Observe(time.Millisecond)
-	r.Emit(Event{Kind: "noop"})
 	r.Reset()
 	if got := r.Snapshot(); len(got.Counters) != 0 {
 		t.Fatalf("nil registry snapshot not empty: %+v", got)
-	}
-	sp := r.StartSpan("z")
-	if d := sp.End(); d < 0 {
-		t.Fatalf("nil span duration %v", d)
-	}
-	var zero Span
-	if zero.End() != 0 {
-		t.Fatal("zero span must end at 0")
 	}
 }
 
@@ -99,28 +89,6 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	}
 }
 
-func TestSpanRecordsIntoHistogram(t *testing.T) {
-	r := NewRegistry("test")
-	sp := r.StartSpan("stage")
-	time.Sleep(2 * time.Millisecond)
-	d := sp.End()
-	if d < 2*time.Millisecond {
-		t.Fatalf("span duration %v too short", d)
-	}
-	h := r.Histogram("stage")
-	if h.Count() != 1 || h.Max() < 2*time.Millisecond {
-		t.Fatalf("histogram did not record the span: count=%d max=%v", h.Count(), h.Max())
-	}
-	// Nested span: the outer span keeps timing across the inner one.
-	outer := r.StartSpan("outer")
-	inner := r.StartSpan("inner")
-	inner.End()
-	outer.End()
-	if r.Histogram("outer").Count() != 1 || r.Histogram("inner").Count() != 1 {
-		t.Fatal("nested spans must both record")
-	}
-}
-
 func TestSnapshotLookup(t *testing.T) {
 	r := NewRegistry("snap")
 	r.Counter("a").Add(2)
@@ -155,9 +123,8 @@ func TestRegistryConcurrency(t *testing.T) {
 				r.Counter("own-" + string(rune('a'+w))).Inc()
 				r.Gauge("depth").Add(1)
 				r.Gauge("depth").Add(-1)
-				sp := r.StartSpan("stage")
+				r.Histogram("stage").Observe(time.Microsecond)
 				r.Histogram("direct").Observe(time.Duration(i) * time.Microsecond)
-				sp.End()
 				if i%100 == 0 {
 					_ = r.Snapshot()
 				}
@@ -169,75 +136,10 @@ func TestRegistryConcurrency(t *testing.T) {
 		t.Fatalf("shared counter = %d, want %d", got, workers*iters)
 	}
 	if got := r.Histogram("stage").Count(); got != workers*iters {
-		t.Fatalf("span histogram count = %d, want %d", got, workers*iters)
+		t.Fatalf("stage histogram count = %d, want %d", got, workers*iters)
 	}
 	if r.Gauge("depth").Value() != 0 {
 		t.Fatalf("gauge drifted: %d", r.Gauge("depth").Value())
-	}
-}
-
-// TestConcurrentEmit races event emission against sink swaps.
-func TestConcurrentEmit(t *testing.T) {
-	r := NewRegistry("emit")
-	mem := &MemorySink{}
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 500; i++ {
-			r.Emit(Event{Kind: "command", Seq: i})
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			r.SetSink(mem)
-		}
-	}()
-	wg.Wait()
-	for _, ev := range mem.Events() {
-		if ev.Registry != "emit" {
-			t.Fatalf("event missing registry label: %+v", ev)
-		}
-	}
-}
-
-func TestJSONLSinkRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
-	r := NewRegistry("lab")
-	r.SetSink(sink)
-	r.Emit(Event{Kind: "command", Name: "move_robot", Device: "viperx", Outcome: "ok", Seq: 1, DurNS: 1500})
-	r.Emit(Event{Kind: "alert", Name: "Invalid Command!", Detail: "rule general-1"})
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	evs, err := ReadEvents(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 2 {
-		t.Fatalf("round trip lost events: %d", len(evs))
-	}
-	if evs[0].Registry != "lab" || evs[0].Device != "viperx" || evs[0].DurNS != 1500 {
-		t.Fatalf("event 0 wrong: %+v", evs[0])
-	}
-	if evs[1].Kind != "alert" || evs[1].Detail != "rule general-1" {
-		t.Fatalf("event 1 wrong: %+v", evs[1])
-	}
-}
-
-func TestReadEventsRejectsGarbage(t *testing.T) {
-	if _, err := ReadEvents(strings.NewReader("not json\n")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}
-
-func TestFanoutSink(t *testing.T) {
-	a, b := &MemorySink{}, &MemorySink{}
-	FanoutSink{a, nil, b}.Emit(Event{Kind: "x"})
-	if len(a.Events()) != 1 || len(b.Events()) != 1 {
-		t.Fatal("fanout did not reach every sink")
 	}
 }
 
@@ -386,15 +288,6 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(time.Duration(i%1000) * time.Microsecond)
-	}
-}
-
-func BenchmarkSpan(b *testing.B) {
-	r := NewRegistry("bench")
-	h := r.Histogram("stage")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Start().End()
 	}
 }
 

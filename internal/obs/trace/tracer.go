@@ -258,9 +258,19 @@ type Span struct {
 	data SpanData
 }
 
-// StartRoot opens a root span (no parent) in the given trace.
-func (t *Tracer) StartRoot(trace TraceID, name string) *Span {
-	return t.startRootAt(trace, name, time.Time{})
+// StartRoot opens a root span (no parent) in the given trace, starting
+// at an explicit time: the caller times the same region for its stage
+// histogram, so span and histogram share one pair of clock reads.
+func (t *Tracer) StartRoot(trace TraceID, name string, at time.Time) *Span {
+	if t == nil || trace.IsZero() {
+		return nil
+	}
+	return &Span{t: t, data: SpanData{
+		Trace: trace,
+		Span:  t.newSpanID(),
+		Name:  name,
+		Start: at,
+	}}
 }
 
 // StartSpan opens a child span under parent; an invalid parent or nil
@@ -285,21 +295,6 @@ func (t *Tracer) StartSpanAt(parent SpanContext, name string, at time.Time) *Spa
 		Parent: parent.Span,
 		Name:   name,
 		Start:  at,
-	}}
-}
-
-func (t *Tracer) startRootAt(trace TraceID, name string, at time.Time) *Span {
-	if t == nil || trace.IsZero() {
-		return nil
-	}
-	if at.IsZero() {
-		at = time.Now()
-	}
-	return &Span{t: t, data: SpanData{
-		Trace: trace,
-		Span:  t.newSpanID(),
-		Name:  name,
-		Start: at,
 	}}
 }
 

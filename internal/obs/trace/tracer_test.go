@@ -41,7 +41,7 @@ func httpGet(t *testing.T, url string) httpResp {
 func TestTraceParentRoundTrip(t *testing.T) {
 	tr := NewTracer(Options{Seed: 7})
 	id := tr.StartTrace()
-	root := tr.StartRoot(id, "intercept")
+	root := tr.StartRoot(id, "intercept", time.Now())
 	ctx := root.Context()
 
 	hdr := ctx.TraceParent()
@@ -65,7 +65,7 @@ func TestTraceParentRoundTrip(t *testing.T) {
 	for _, bad := range []string{
 		"",
 		"00-abc-def-01",
-		"ff-" + id.String() + "-" + ctx.Span.String() + "-01", // invalid version
+		"ff-" + id.String() + "-" + ctx.Span.String() + "-01",             // invalid version
 		"00-" + strings.Repeat("0", 32) + "-" + ctx.Span.String() + "-01", // zero trace
 		"00-" + id.String() + "-" + strings.Repeat("0", 16) + "-01",       // zero span
 		"00-" + id.String() + "-" + ctx.Span.String(),                     // missing flags
@@ -84,13 +84,13 @@ func TestTailSamplingAlertPinned(t *testing.T) {
 	reg := obs.NewRegistry("tail-test")
 	tr := NewTracer(Options{SampleRate: -1, Seed: 3, Obs: reg}) // alert-only retention
 	quiet := tr.StartTrace()
-	s := tr.StartRoot(quiet, "intercept")
+	s := tr.StartRoot(quiet, "intercept", time.Now())
 	s.End()
 	if tr.FinishTrace(quiet) {
 		t.Fatal("non-alert trace retained at rate -1")
 	}
 	loud := tr.StartTrace()
-	s = tr.StartRoot(loud, "intercept")
+	s = tr.StartRoot(loud, "intercept", time.Now())
 	child := tr.StartSpan(s.Context(), "before.validate")
 	child.MarkAlert("invalid_command", "value out of range")
 	child.End()
@@ -123,7 +123,7 @@ func TestTailSamplingDeterministic(t *testing.T) {
 		kept := 0
 		for i := 0; i < 200; i++ {
 			id := tr.StartTrace()
-			s := tr.StartRoot(id, "intercept")
+			s := tr.StartRoot(id, "intercept", time.Now())
 			s.End()
 			if tr.FinishTrace(id) {
 				kept++
@@ -144,7 +144,7 @@ func TestSpanRingBound(t *testing.T) {
 	reg := obs.NewRegistry("ring-test")
 	tr := NewTracer(Options{SampleRate: 1, MaxSpans: 8, Seed: 5, Obs: reg})
 	id := tr.StartTrace()
-	root := tr.StartRoot(id, "intercept")
+	root := tr.StartRoot(id, "intercept", time.Now())
 	for i := 0; i < 20; i++ {
 		c := tr.StartSpan(root.Context(), fmt.Sprintf("span%02d", i))
 		c.End()
@@ -182,7 +182,7 @@ func TestRetainedRingAndActiveBound(t *testing.T) {
 	var ids []TraceID
 	for i := 0; i < 6; i++ {
 		id := tr.StartTrace()
-		s := tr.StartRoot(id, "intercept")
+		s := tr.StartRoot(id, "intercept", time.Now())
 		s.End()
 		tr.FinishTrace(id)
 		ids = append(ids, id)
@@ -209,7 +209,7 @@ func TestRetainedRingAndActiveBound(t *testing.T) {
 func TestBindings(t *testing.T) {
 	tr := NewTracer(Options{Seed: 2})
 	id := tr.StartTrace()
-	root := tr.StartRoot(id, "intercept")
+	root := tr.StartRoot(id, "intercept", time.Now())
 	tr.Bind("hp01", 7, root.Context())
 	if got := tr.Bound("hp01", 7); got != root.Context() {
 		t.Fatalf("Bound = %+v, want the bound context", got)
@@ -249,7 +249,7 @@ func TestNilSafety(t *testing.T) {
 func TestOTLPRoundTrip(t *testing.T) {
 	tr := NewTracer(Options{SampleRate: 1, Seed: 13})
 	id := tr.StartTrace()
-	root := tr.StartRoot(id, "intercept")
+	root := tr.StartRoot(id, "intercept", time.Now())
 	root.SetAttr("device", "viperx")
 	child := tr.StartSpan(root.Context(), "before.trajectory")
 	child.MarkAlert("invalid_trajectory", "sweep hit centrifuge")
@@ -330,7 +330,7 @@ func makeTrace(t *testing.T) *TraceData {
 	t.Helper()
 	tr := NewTracer(Options{SampleRate: 1, Seed: 21})
 	id := tr.StartTrace()
-	s := tr.StartRoot(id, "intercept")
+	s := tr.StartRoot(id, "intercept", time.Now())
 	s.End()
 	tr.FinishTrace(id)
 	return tr.Find(id)
@@ -403,11 +403,11 @@ func TestTracesEndpoint(t *testing.T) {
 	Register(tr)
 	defer Unregister(tr)
 	id := tr.StartTrace()
-	s := tr.StartRoot(id, "intercept")
+	s := tr.StartRoot(id, "intercept", time.Now())
 	s.End()
 	tr.FinishTrace(id)
 	other := tr.StartTrace()
-	s = tr.StartRoot(other, "intercept")
+	s = tr.StartRoot(other, "intercept", time.Now())
 	s.End()
 	tr.FinishTrace(other)
 

@@ -87,56 +87,55 @@ func (m *RuleMetrics) Reset() {
 // violates, and histograms the near-miss margin when the rule passes
 // and exposes one. A non-empty traceID is published as the latency
 // bucket's exemplar, linking the metric to the causal trace. With a nil
-// RuleMetrics it is exactly Validate.
+// RuleMetrics it is exactly Validate: no instruments, no clock read.
 //
 // "Evaluated" means consulted: a rule whose AppliesTo rejects the
 // command still counts an evaluation (its latency is the cost of
 // deciding non-applicability), so fires/evals is a true fire rate over
 // everything the rule was shown.
 func (rb *Rulebase) ValidateObserved(s state.View, cmd action.Command, m *RuleMetrics, traceID string) []Violation {
-	if m == nil {
-		return rb.Validate(s, cmd)
-	}
 	ctx := &EvalContext{State: s, Cmd: cmd, Lab: rb.lab, Cfg: rb.cfg}
 	var out []Violation
-	prev := time.Now()
+	var prev time.Time
+	if m != nil {
+		prev = time.Now()
+	}
 	for _, r := range rb.RulesFor(cmd.Action) {
 		if !r.matchesDevice(cmd) {
 			continue
 		}
 		v := r.Evaluate(ctx)
-		var mg float64
-		hasMargin := false
-		if v == nil && r.Margin != nil {
-			mg, hasMargin = r.Margin(ctx)
-		}
-		now := time.Now()
-		d := now.Sub(prev)
-		prev = now
-		ri := &m.perRule[r.index]
-		ri.evals.Inc()
-		if traceID != "" {
-			ri.lat.ObserveExemplar(d, traceID)
-		} else {
-			ri.lat.Observe(d)
+		if m != nil {
+			prev = m.observe(r, ctx, v, prev, traceID)
 		}
 		if v != nil {
-			ri.fires.Inc()
 			out = append(out, *v)
-			continue
-		}
-		if hasMargin && ri.margin != nil {
-			if mg < 0 {
-				mg = 0
-			}
-			if mg > 1 {
-				mg = 1
-			}
-			// Margins ride the nanosecond histogram as ratio×1e9; the
-			// exposition's ns→value conversion recovers the raw ratio, so
-			// le="0.001" holds margins of ≤0.1%.
-			ri.margin.Observe(time.Duration(mg * 1e9))
 		}
 	}
 	return out
+}
+
+// observe publishes one rule evaluation that ended a clock read after
+// prev, returning that read as the next evaluation's start.
+func (m *RuleMetrics) observe(r *Rule, ctx *EvalContext, v *Violation, prev time.Time, traceID string) time.Time {
+	var mg float64
+	hasMargin := false
+	if v == nil && r.Margin != nil {
+		mg, hasMargin = r.Margin(ctx)
+	}
+	now := time.Now()
+	ri := &m.perRule[r.index]
+	ri.evals.Inc()
+	ri.lat.ObserveExemplar(now.Sub(prev), traceID)
+	if v != nil {
+		ri.fires.Inc()
+		return now
+	}
+	if hasMargin && ri.margin != nil {
+		// Margins ride the nanosecond histogram as ratio×1e9; the
+		// exposition's ns→value conversion recovers the raw ratio, so
+		// le="0.001" holds margins of ≤0.1%.
+		ri.margin.Observe(time.Duration(min(max(mg, 0), 1) * 1e9))
+	}
+	return now
 }

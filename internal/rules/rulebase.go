@@ -184,17 +184,7 @@ func (rb *Rulebase) LabelReadsGlobal(label action.Label) bool {
 // is evaluated; AppliesTo still runs per rule, so the index is purely a
 // pruning layer and verdicts match a full table scan exactly.
 func (rb *Rulebase) Validate(s state.View, cmd action.Command) []Violation {
-	ctx := &EvalContext{State: s, Cmd: cmd, Lab: rb.lab, Cfg: rb.cfg}
-	var out []Violation
-	for _, r := range rb.RulesFor(cmd.Action) {
-		if !r.matchesDevice(cmd) {
-			continue
-		}
-		if v := r.Evaluate(ctx); v != nil {
-			out = append(out, *v)
-		}
-	}
-	return out
+	return rb.ValidateObserved(s, cmd, nil, "")
 }
 
 // AppliedRuleIDs lists the IDs of the rules Validate evaluates for a

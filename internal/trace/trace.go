@@ -65,8 +65,8 @@ type Interceptor struct {
 	records  []Record
 
 	// obs publishes per-command telemetry: the intercept and execute
-	// stage spans, outcome counters (total and per device), and one
-	// structured event per record. All nil-safe when no observer is set.
+	// stage histograms and outcome counters (total and per device). All
+	// nil-safe when no observer is set.
 	obs        *obs.Registry
 	hIntercept *obs.Histogram
 	hExecute   *obs.Histogram
@@ -148,17 +148,17 @@ func (i *Interceptor) finishTraceLocked() (otrace.TraceID, bool) {
 }
 
 // rootSpan lazily opens the run trace and starts one command's
-// "intercept" root span, binding it under (device, seq) for the
+// "intercept" root span at start, binding it under (device, seq) for the
 // engine's pipeline stages. Returns nil when tracing is off (callers
 // hold i.mu).
-func (i *Interceptor) rootSpan(cmd action.Command) *otrace.Span {
+func (i *Interceptor) rootSpan(cmd action.Command, start time.Time) *otrace.Span {
 	if i.tracer == nil {
 		return nil
 	}
 	if i.traceID.IsZero() {
 		i.traceID = i.tracer.StartTrace()
 	}
-	s := i.tracer.StartRoot(i.traceID, obs.StageIntercept)
+	s := i.tracer.StartRoot(i.traceID, obs.StageIntercept, start)
 	s.SetAttr("device", cmd.Device)
 	s.SetAttr("action", string(cmd.Action))
 	s.SetIntAttr("seq", cmd.Seq)
@@ -166,10 +166,41 @@ func (i *Interceptor) rootSpan(cmd action.Command) *otrace.Span {
 	return s
 }
 
-// finish closes the intercept span and publishes outcome counters and
-// events for every record appended during the call (callers hold i.mu).
-func (i *Interceptor) finish(span obs.Span, mark int) {
-	d := span.End()
+// stage publishes one interceptor stage from a single pair of clock
+// reads: the stage histogram and the trace span (nil when tracing is
+// off) both get end−start, which is returned for the flight record.
+func stage(h *obs.Histogram, span *otrace.Span, start, end time.Time, err error) time.Duration {
+	d := end.Sub(start)
+	h.Observe(d)
+	if err != nil {
+		span.SetError(err.Error())
+	}
+	span.EndAt(end)
+	return d
+}
+
+// execute runs the lab side of one interception as the "execute" stage,
+// under root; the flight record's ExecNS gets the same duration as the
+// histogram and the span (callers hold i.mu).
+func (i *Interceptor) execute(root *otrace.Span, run func() error) error {
+	start := time.Now()
+	span := i.tracer.StartSpanAt(root.Context(), obs.StageExecute, start)
+	err := run()
+	i.lastExecNS = stage(i.hExecute, span, start, time.Now(), err).Nanoseconds()
+	return err
+}
+
+// finish closes one interception begun at start: the intercept stage
+// ends, the call's commands are unbound from the root span, and the
+// outcome counters count every record appended since mark (callers hold
+// i.mu).
+func (i *Interceptor) finish(root *otrace.Span, start time.Time, mark int, err error, cmds ...action.Command) {
+	stage(i.hIntercept, root, start, time.Now(), err)
+	if root != nil {
+		for _, cmd := range cmds {
+			i.tracer.Unbind(cmd.Device, cmd.Seq)
+		}
+	}
 	if i.obs == nil {
 		return
 	}
@@ -178,16 +209,6 @@ func (i *Interceptor) finish(span obs.Span, mark int) {
 		if r.Cmd.Device != "" {
 			i.obs.Counter(obs.PrefixDevice + r.Cmd.Device + "." + r.Outcome).Inc()
 		}
-		i.obs.Emit(obs.Event{
-			T:       r.Time,
-			Kind:    "command",
-			Name:    string(r.Cmd.Action),
-			Device:  r.Cmd.Device,
-			Outcome: r.Outcome,
-			Detail:  r.Detail,
-			Seq:     r.Seq,
-			DurNS:   d.Nanoseconds(),
-		})
 	}
 }
 
@@ -211,21 +232,13 @@ func (i *Interceptor) DoLookahead(cmd, next action.Command) error {
 func (i *Interceptor) do(cmd, next action.Command, lookahead bool) (err error) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	span := i.hIntercept.Start()
-	defer i.finish(span, len(i.records))
+	start := time.Now()
+	mark := len(i.records)
 	i.seq++
 	cmd.Seq = i.seq
 	i.lastExecNS = 0
-	root := i.rootSpan(cmd)
-	if root != nil {
-		defer func() {
-			if err != nil {
-				root.SetError(err.Error())
-			}
-			i.tracer.Unbind(cmd.Device, cmd.Seq)
-			root.End()
-		}()
-	}
+	root := i.rootSpan(cmd, start)
+	defer func() { i.finish(root, start, mark, err, cmd) }()
 	if err := cmd.Validate(); err != nil {
 		i.record(cmd, "error", err.Error())
 		return err
@@ -241,15 +254,7 @@ func (i *Interceptor) do(cmd, next action.Command, lookahead bool) (err error) {
 			}
 		}
 	}
-	spanExec := i.hExecute.Start()
-	execSpan := i.tracer.StartSpan(root.Context(), obs.StageExecute)
-	execErr := i.executor.Execute(cmd)
-	if execErr != nil {
-		execSpan.SetError(execErr.Error())
-	}
-	execSpan.End()
-	i.lastExecNS = spanExec.End().Nanoseconds()
-	if err := execErr; err != nil {
+	if err := i.execute(root, func() error { return i.executor.Execute(cmd) }); err != nil {
 		i.record(cmd, "error", err.Error())
 		// The checker still observes the aftermath: a physical crash is
 		// an execution error *and* leaves state worth comparing.
@@ -292,47 +297,40 @@ type ConcurrentExecutor interface {
 // DoConcurrent traces and executes several commands as one simultaneous
 // motion: every command is checked individually before any executes, the
 // environment runs them in lockstep, and post-state checks run once the
-// motion settles.
+// motion settles. An empty batch is a no-op.
 func (i *Interceptor) DoConcurrent(cmds []action.Command) (err error) {
+	if len(cmds) == 0 {
+		return nil
+	}
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	span := i.hIntercept.Start()
-	defer i.finish(span, len(i.records))
+	start := time.Now()
+	mark := len(i.records)
 	i.lastExecNS = 0
+	var root *otrace.Span
+	stamped := make([]action.Command, 0, len(cmds))
+	defer func() { i.finish(root, start, mark, err, stamped...) }()
 	ce, ok := i.executor.(ConcurrentExecutor)
 	if !ok {
 		return fmt.Errorf("trace: executor cannot run concurrent commands")
 	}
-	stamped := make([]action.Command, len(cmds))
-	for k, cmd := range cmds {
+	for _, cmd := range cmds {
 		i.seq++
 		cmd.Seq = i.seq
 		if err := cmd.Validate(); err != nil {
 			i.record(cmd, "error", err.Error())
 			return err
 		}
-		stamped[k] = cmd
+		stamped = append(stamped, cmd)
 	}
 	// The batch shares one root span — the commands execute as one
 	// simultaneous motion — with every (device, seq) bound to it so each
 	// command's pipeline stages parent under the same node.
-	var root *otrace.Span
-	if len(stamped) > 0 {
-		root = i.rootSpan(stamped[0])
-		if root != nil {
-			root.SetIntAttr("batch", len(stamped))
-			for _, cmd := range stamped[1:] {
-				i.tracer.Bind(cmd.Device, cmd.Seq, root.Context())
-			}
-			defer func() {
-				if err != nil {
-					root.SetError(err.Error())
-				}
-				for _, cmd := range stamped {
-					i.tracer.Unbind(cmd.Device, cmd.Seq)
-				}
-				root.End()
-			}()
+	root = i.rootSpan(stamped[0], start)
+	if root != nil {
+		root.SetIntAttr("batch", len(stamped))
+		for _, cmd := range stamped[1:] {
+			i.tracer.Bind(cmd.Device, cmd.Seq, root.Context())
 		}
 	}
 	if i.checker != nil {
@@ -344,15 +342,7 @@ func (i *Interceptor) DoConcurrent(cmds []action.Command) (err error) {
 		}
 	}
 	last := stamped[len(stamped)-1]
-	spanExec := i.hExecute.Start()
-	execSpan := i.tracer.StartSpan(root.Context(), obs.StageExecute)
-	execErr := ce.ExecuteConcurrent(stamped)
-	if execErr != nil {
-		execSpan.SetError(execErr.Error())
-	}
-	execSpan.End()
-	i.lastExecNS = spanExec.End().Nanoseconds()
-	if err := execErr; err != nil {
+	if err := i.execute(root, func() error { return ce.ExecuteConcurrent(stamped) }); err != nil {
 		for _, cmd := range stamped {
 			i.record(cmd, "error", err.Error())
 		}
