@@ -100,7 +100,7 @@ func measureStage(stage env.Stage, seed int64) (TableIRow, error) {
 		return row, fmt.Errorf("safe workload failed: %w", err)
 	}
 	wall := time.Since(wallStart)
-	commands := len(s.Interceptor.Records())
+	commands := s.Interceptor.Len()
 
 	var stageSeconds float64
 	if stage == env.StageSimulator {

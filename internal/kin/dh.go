@@ -30,10 +30,16 @@ type DHLink struct {
 	Radius float64
 	// MinAngle and MaxAngle bound the joint variable (rad).
 	MinAngle, MaxAngle float64
+
+	// cosAlpha and sinAlpha cache the constant twist's cosine and sine;
+	// cacheTwists fills them.
+	cosAlpha, sinAlpha float64
 }
 
 // Chain is a serial kinematic chain of revolute joints with a fixed base
-// pose in the world (or arm-local) frame.
+// pose in the world (or arm-local) frame. A Chain comes from NewProfile,
+// whose constructors cache each link's twist cosine and sine; the
+// kinematics read only that cache, never Alpha.
 type Chain struct {
 	Name  string
 	Base  geom.Pose
@@ -93,18 +99,44 @@ func (c *Chain) clampJointsInPlace(q []float64) {
 	}
 }
 
-// linkTransform returns the DH transform for link l at joint value theta.
-func linkTransform(l DHLink, theta float64) geom.Pose {
-	th := theta + l.Offset
-	ct, st := math.Cos(th), math.Sin(th)
-	ca, sa := math.Cos(l.Alpha), math.Sin(l.Alpha)
-	r := geom.Mat3{M: [3][3]float64{
-		{ct, -st * ca, st * sa},
-		{st, ct * ca, -ct * sa},
-		{0, sa, ca},
-	}}
-	t := geom.V(l.A*ct, l.A*st, l.D)
-	return geom.Pose{R: r, T: t}
+// cacheTwists fills every link's cached twist cosine and sine; the
+// profile constructors call it once per chain.
+func (c *Chain) cacheTwists() {
+	for i := range c.Links {
+		l := &c.Links[i]
+		l.cosAlpha, l.sinAlpha = math.Cos(l.Alpha), math.Sin(l.Alpha)
+	}
+}
+
+// linkStep advances cur through link l at joint value theta, in place:
+// cur ← cur·T with T the standard DH transform
+//
+//	⎡ct  −st·ca   st·sa  a·ct⎤
+//	⎢st   ct·ca  −ct·sa  a·st⎥
+//	⎣0    sa      ca     d   ⎦
+//
+// It is the arithmetic of cur.Compose(T) — geom.Mat3.Mul's sums from
+// zero and Pose.Apply's then Add's order, including the products with
+// the bottom row's zero — so every bit matches the composed form, with
+// one Sincos per joint and the twist's cos/sin computed once per chain.
+func linkStep(cur *geom.Pose, l *DHLink, theta float64) {
+	st, ct := math.Sincos(theta + l.Offset)
+	ca, sa := l.cosAlpha, l.sinAlpha
+	n01, n02 := -st*ca, st*sa
+	n11, n12 := ct*ca, -ct*sa
+	tx, ty, tz := l.A*ct, l.A*st, l.D
+	m := &cur.R.M
+	cur.T = geom.Vec3{
+		X: m[0][0]*tx + m[0][1]*ty + m[0][2]*tz + cur.T.X,
+		Y: m[1][0]*tx + m[1][1]*ty + m[1][2]*tz + cur.T.Y,
+		Z: m[2][0]*tx + m[2][1]*ty + m[2][2]*tz + cur.T.Z,
+	}
+	for i := range m {
+		r0, r1, r2 := m[i][0], m[i][1], m[i][2]
+		m[i][0] = 0 + r0*ct + r1*st + r2*0
+		m[i][1] = 0 + r0*n01 + r1*n11 + r2*sa
+		m[i][2] = 0 + r0*n02 + r1*n12 + r2*ca
+	}
 }
 
 // JointOrigins returns the origin of every joint frame, base first and
@@ -126,8 +158,8 @@ func (c *Chain) JointOriginsInto(q []float64, pts []geom.Vec3) ([]geom.Vec3, err
 	pts = pts[:0]
 	cur := c.Base
 	pts = append(pts, cur.T)
-	for i, l := range c.Links {
-		cur = cur.Compose(linkTransform(l, q[i]))
+	for i := range c.Links {
+		linkStep(&cur, &c.Links[i], q[i])
 		pts = append(pts, cur.T)
 	}
 	return pts, nil
@@ -139,8 +171,8 @@ func (c *Chain) Forward(q []float64) (geom.Pose, error) {
 		return geom.Pose{}, fmt.Errorf("%w: got %d, want %d", ErrDOFMismatch, len(q), len(c.Links))
 	}
 	cur := c.Base
-	for i, l := range c.Links {
-		cur = cur.Compose(linkTransform(l, q[i]))
+	for i := range c.Links {
+		linkStep(&cur, &c.Links[i], q[i])
 	}
 	return cur, nil
 }

@@ -156,14 +156,19 @@ func (c *Chain) Solve(target geom.Vec3, q0 []float64, opt IKOptions) ([]float64,
 // (Jacobian, normal matrix, linear solve, residual, clamp) allocates
 // nothing. One scratch serves all of a Solve call's restarts.
 type ikScratch struct {
-	q    []float64   // current configuration
-	e    []float64   // task residual
-	j    [][]float64 // rows×n Jacobian
-	jjt  [][]float64 // rows×rows normal matrix
-	aug  [][]float64 // rows×(rows+1) augmented matrix for elimination
-	w    []float64   // linear-solve result
-	orig []geom.Vec3 // joint frame origins
-	axes []geom.Vec3 // joint axes
+	q   []float64   // current configuration
+	e   []float64   // task residual
+	j   [][]float64 // rows×n Jacobian
+	jjt [][]float64 // rows×rows normal matrix
+	aug [][]float64 // rows×(rows+1) augmented matrix for elimination
+	w   []float64   // linear-solve result
+	// The last forward pass (forwardInto): every joint frame's origin
+	// and axis, the end effector and the tool axis. The residual reads
+	// ee and tool; the next iteration's Jacobian reads all four.
+	orig []geom.Vec3
+	axes []geom.Vec3
+	ee   geom.Vec3
+	tool geom.Vec3
 }
 
 func newIKScratch(n int, opt IKOptions) *ikScratch {
@@ -204,17 +209,14 @@ func (c *Chain) solveFrom(target geom.Vec3, seed []float64, opt IKOptions, sc *i
 	}
 	want := opt.ToolAxis.Unit()
 
-	residual := func(q []float64) ([]float64, float64, float64, bool) {
-		pose, err := c.Forward(q)
-		if err != nil {
-			return nil, math.Inf(1), math.Inf(1), false
-		}
+	residual := func() (float64, float64) {
+		c.forwardInto(q, sc)
 		e := sc.e
-		pe := target.Sub(pose.T)
+		pe := target.Sub(sc.ee)
 		e[0], e[1], e[2] = pe.X, pe.Y, pe.Z
 		axErr := 0.0
 		if useOrient {
-			axis := pose.R.Col(2)
+			axis := sc.tool
 			// Least-squares on the axis vector itself: e = want − axis.
 			// (A cross-product formulation has zero gradient when the
 			// axis is exactly anti-parallel to the preference.)
@@ -224,16 +226,12 @@ func (c *Chain) solveFrom(target geom.Vec3, seed []float64, opt IKOptions, sc *i
 			e[4] = opt.OrientWeight * diff.Y
 			e[5] = opt.OrientWeight * diff.Z
 		}
-		return e, pe.Norm(), axErr, true
+		return pe.Norm(), axErr
 	}
 
-	e, posErr, axErr, ok := residual(q)
-	if !ok {
-		return q, math.Inf(1), math.Inf(1)
-	}
-
+	posErr, axErr := residual()
 	for iter := 0; iter < opt.MaxIters && (posErr > opt.Tol || (useOrient && axErr > 0.05 && iter < opt.MaxIters/2)); iter++ {
-		j := c.taskJacobianInto(q, rows, opt.OrientWeight, sc)
+		j := c.taskJacobianInto(rows, opt.OrientWeight, sc)
 		// dq = Jᵀ (J Jᵀ + λ² I)⁻¹ e
 		jjt := sc.jjt
 		for r := 0; r < rows; r++ {
@@ -246,7 +244,7 @@ func (c *Chain) solveFrom(target geom.Vec3, seed []float64, opt IKOptions, sc *i
 			}
 			jjt[r][r] += lambda2
 		}
-		w, ok := solveLinearInto(jjt, e, sc.aug, sc.w)
+		w, ok := solveLinearInto(jjt, sc.e, sc.aug, sc.w)
 		if !ok {
 			break
 		}
@@ -258,35 +256,37 @@ func (c *Chain) solveFrom(target geom.Vec3, seed []float64, opt IKOptions, sc *i
 			q[k] += dq
 		}
 		c.clampJointsInPlace(q)
-		e, posErr, axErr, ok = residual(q)
-		if !ok {
-			return q, math.Inf(1), math.Inf(1)
-		}
+		posErr, axErr = residual()
 	}
 	return q, posErr, axErr
 }
 
-// taskJacobianInto fills sc.j with the rows×n Jacobian: position rows
-// always, plus tool-axis rows (scaled by orientWeight) when rows == 6.
-func (c *Chain) taskJacobianInto(q []float64, rows int, orientWeight float64, sc *ikScratch) [][]float64 {
-	n := len(c.Links)
-	j := sc.j
+// forwardInto is the one forward pass of a DLS iteration: it walks the
+// chain at q once, storing each joint frame's origin and axis, the end
+// effector and the tool axis in sc for the residual and the Jacobian.
+func (c *Chain) forwardInto(q []float64, sc *ikScratch) {
 	cur := c.Base
-	origins, axes := sc.orig, sc.axes
-	for i, l := range c.Links {
-		origins[i] = cur.T
-		axes[i] = cur.R.Col(2) // joint axis is local Z
-		cur = cur.Compose(linkTransform(l, q[i]))
+	for i := range c.Links {
+		sc.orig[i] = cur.T
+		sc.axes[i] = cur.R.Col(2) // joint axis is local Z
+		linkStep(&cur, &c.Links[i], q[i])
 	}
-	ee := cur.T
-	tool := cur.R.Col(2)
-	for i := 0; i < n; i++ {
-		col := axes[i].Cross(ee.Sub(origins[i]))
+	sc.ee, sc.tool = cur.T, cur.R.Col(2)
+}
+
+// taskJacobianInto fills sc.j with the rows×n Jacobian at the
+// configuration of the last forwardInto: position rows always, plus
+// tool-axis rows (scaled by orientWeight) when rows == 6.
+func (c *Chain) taskJacobianInto(rows int, orientWeight float64, sc *ikScratch) [][]float64 {
+	j := sc.j
+	ee, tool := sc.ee, sc.tool
+	for i, axis := range sc.axes {
+		col := axis.Cross(ee.Sub(sc.orig[i]))
 		j[0][i], j[1][i], j[2][i] = col.X, col.Y, col.Z
 		if rows == 6 {
 			// d(tool)/dq_i = z_i × tool; the residual uses tool × want,
 			// whose derivative we approximate by the axis velocity term.
-			av := axes[i].Cross(tool)
+			av := axis.Cross(tool)
 			j[3][i] = orientWeight * av.X
 			j[4][i] = orientWeight * av.Y
 			j[5][i] = orientWeight * av.Z

@@ -151,6 +151,7 @@ func newURProfile(m Model, base geom.Pose, d1, a2, a3, d4, d5, d6, radius, speed
 		MaxJointSpeed: speed,
 		Repeatability: repeat,
 	}
+	ch.cacheTwists()
 	return &Profile{
 		Model: m,
 		Chain: ch,
@@ -179,6 +180,7 @@ func newEduProfile(m Model, base geom.Pose, d1, a2, a3, d6, radius, speed, repea
 		MaxJointSpeed: speed,
 		Repeatability: repeat,
 	}
+	ch.cacheTwists()
 	return &Profile{
 		Model: m,
 		Chain: ch,

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/action"
+	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/obs/recorder"
 	otrace "repro/internal/obs/trace"
@@ -29,6 +30,104 @@ type Record struct {
 	Cmd     action.Command `json:"cmd"`
 	Outcome string         `json:"outcome"` // "ok", "blocked", "error"
 	Detail  string         `json:"detail,omitempty"`
+}
+
+// outcome is a record's outcome, packed to a byte in the command log.
+type outcome uint8
+
+const (
+	outcomeOK outcome = iota
+	outcomeBlocked
+	outcomeError
+)
+
+// outcomeNames are the Record.Outcome strings, and outcomeCounters the
+// outcome counter names, indexed by outcome.
+var (
+	outcomeNames    = [...]string{"ok", "blocked", "error"}
+	outcomeCounters = [...]string{obs.PrefixOutcome + "ok", obs.PrefixOutcome + "blocked", obs.PrefixOutcome + "error"}
+)
+
+// entry is one Record as the interceptor stores it: the command's eight
+// strings are indices into the interceptor's intern table and the
+// outcome is a byte, so an entry is 120 bytes against a Record's 232.
+// Seq is both Record.Seq and Cmd.Seq, which record() always sets equal.
+type entry struct {
+	target   geom.Vec3
+	value    float64
+	roll     float64
+	duration time.Duration
+	time     time.Duration
+	detail   string
+	seq      int
+	// Interned Device, Action, TargetName, InsideDevice, Door, Object,
+	// FromContainer and ToContainer.
+	device, action, targetName, insideDevice uint32
+	door, object, from, to                   uint32
+	outcome                                  outcome
+}
+
+// internTable maps each distinct command string to a uint32 index; index
+// 0 is the empty string. A trace names a handful of devices, actions and
+// locations, so the table stays small however long the trace grows.
+type internTable struct {
+	ids  map[string]uint32
+	strs []string
+}
+
+func (t *internTable) id(s string) uint32 {
+	if s == "" {
+		return 0
+	}
+	if id, ok := t.ids[s]; ok {
+		return id
+	}
+	if t.ids == nil {
+		t.ids = make(map[string]uint32)
+		t.strs = []string{""}
+	}
+	id := uint32(len(t.strs))
+	t.ids[s] = id
+	t.strs = append(t.strs, s)
+	return id
+}
+
+// str returns the string interned as id.
+func (t *internTable) str(id uint32) string {
+	if id == 0 {
+		return ""
+	}
+	return t.strs[id]
+}
+
+// pack stores one record's fields as an entry.
+func (t *internTable) pack(cmd action.Command, now time.Duration, o outcome, detail string) entry {
+	return entry{
+		target: cmd.Target, value: cmd.Value, roll: cmd.Roll, duration: cmd.Duration,
+		time: now, detail: detail, seq: cmd.Seq,
+		device: t.id(cmd.Device), action: t.id(string(cmd.Action)),
+		targetName: t.id(cmd.TargetName), insideDevice: t.id(cmd.InsideDevice),
+		door: t.id(cmd.Door), object: t.id(cmd.Object),
+		from: t.id(cmd.FromContainer), to: t.id(cmd.ToContainer),
+		outcome: o,
+	}
+}
+
+// unpack rebuilds the Record an entry stores.
+func (t *internTable) unpack(e *entry) Record {
+	return Record{
+		Seq:  e.seq,
+		Time: e.time,
+		Cmd: action.Command{
+			Seq: e.seq, Device: t.str(e.device), Action: action.Label(t.str(e.action)),
+			Target: e.target, TargetName: t.str(e.targetName), InsideDevice: t.str(e.insideDevice),
+			Door: t.str(e.door), Object: t.str(e.object),
+			FromContainer: t.str(e.from), ToContainer: t.str(e.to),
+			Value: e.value, Roll: e.roll, Duration: e.duration,
+		},
+		Outcome: outcomeNames[e.outcome],
+		Detail:  e.detail,
+	}
 }
 
 // Checker is the RABIT side of the interception: Before runs the Fig. 2
@@ -62,7 +161,9 @@ type Interceptor struct {
 	checker  Checker
 	executor Executor
 	seq      int
-	records  []Record
+	// log is the command trace, packed (see entry); Records unpacks it.
+	log      []entry
+	interned internTable
 
 	// obs publishes per-command telemetry: the intercept and execute
 	// stage histograms and outcome counters (total and per device). All
@@ -204,10 +305,11 @@ func (i *Interceptor) finish(root *otrace.Span, start time.Time, mark int, err e
 	if i.obs == nil {
 		return
 	}
-	for _, r := range i.records[mark:] {
-		i.obs.Counter(obs.PrefixOutcome + r.Outcome).Inc()
-		if r.Cmd.Device != "" {
-			i.obs.Counter(obs.PrefixDevice + r.Cmd.Device + "." + r.Outcome).Inc()
+	for k := range i.log[mark:] {
+		e := &i.log[mark+k]
+		i.obs.Counter(outcomeCounters[e.outcome]).Inc()
+		if e.device != 0 {
+			i.obs.Counter(obs.PrefixDevice + i.interned.str(e.device) + "." + outcomeNames[e.outcome]).Inc()
 		}
 	}
 }
@@ -233,19 +335,19 @@ func (i *Interceptor) do(cmd, next action.Command, lookahead bool) (err error) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	start := time.Now()
-	mark := len(i.records)
+	mark := len(i.log)
 	i.seq++
 	cmd.Seq = i.seq
 	i.lastExecNS = 0
 	root := i.rootSpan(cmd, start)
 	defer func() { i.finish(root, start, mark, err, cmd) }()
 	if err := cmd.Validate(); err != nil {
-		i.record(cmd, "error", err.Error())
+		i.record(cmd, outcomeError, err.Error())
 		return err
 	}
 	if i.checker != nil {
 		if err := i.checker.Before(cmd); err != nil {
-			i.record(cmd, "blocked", err.Error())
+			i.record(cmd, outcomeBlocked, err.Error())
 			return err
 		}
 		if lookahead {
@@ -255,7 +357,7 @@ func (i *Interceptor) do(cmd, next action.Command, lookahead bool) (err error) {
 		}
 	}
 	if err := i.execute(root, func() error { return i.executor.Execute(cmd) }); err != nil {
-		i.record(cmd, "error", err.Error())
+		i.record(cmd, outcomeError, err.Error())
 		// The checker still observes the aftermath: a physical crash is
 		// an execution error *and* leaves state worth comparing.
 		if i.checker != nil {
@@ -267,25 +369,23 @@ func (i *Interceptor) do(cmd, next action.Command, lookahead bool) (err error) {
 	}
 	if i.checker != nil {
 		if err := i.checker.After(cmd); err != nil {
-			i.record(cmd, "error", err.Error())
+			i.record(cmd, outcomeError, err.Error())
 			return err
 		}
 	}
-	i.record(cmd, "ok", "")
+	i.record(cmd, outcomeOK, "")
 	return nil
 }
 
 // record appends a trace record and back-fills the command's black-box
 // record, if a flight recorder is attached (callers hold i.mu).
-func (i *Interceptor) record(cmd action.Command, outcome, detail string) {
+func (i *Interceptor) record(cmd action.Command, o outcome, detail string) {
 	var now time.Duration
 	if i.executor != nil {
 		now = i.executor.Now()
 	}
-	i.records = append(i.records, Record{
-		Seq: cmd.Seq, Time: now, Cmd: cmd, Outcome: outcome, Detail: detail,
-	})
-	i.rec.Annotate(cmd.Device, cmd.Seq, outcome, i.lastExecNS)
+	i.log = append(i.log, i.interned.pack(cmd, now, o, detail))
+	i.rec.Annotate(cmd.Device, cmd.Seq, outcomeNames[o], i.lastExecNS)
 }
 
 // ConcurrentExecutor is implemented by environments that can run several
@@ -305,7 +405,7 @@ func (i *Interceptor) DoConcurrent(cmds []action.Command) (err error) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	start := time.Now()
-	mark := len(i.records)
+	mark := len(i.log)
 	i.lastExecNS = 0
 	var root *otrace.Span
 	stamped := make([]action.Command, 0, len(cmds))
@@ -318,7 +418,7 @@ func (i *Interceptor) DoConcurrent(cmds []action.Command) (err error) {
 		i.seq++
 		cmd.Seq = i.seq
 		if err := cmd.Validate(); err != nil {
-			i.record(cmd, "error", err.Error())
+			i.record(cmd, outcomeError, err.Error())
 			return err
 		}
 		stamped = append(stamped, cmd)
@@ -336,7 +436,7 @@ func (i *Interceptor) DoConcurrent(cmds []action.Command) (err error) {
 	if i.checker != nil {
 		for _, cmd := range stamped {
 			if err := i.checker.Before(cmd); err != nil {
-				i.record(cmd, "blocked", err.Error())
+				i.record(cmd, outcomeBlocked, err.Error())
 				return err
 			}
 		}
@@ -344,7 +444,7 @@ func (i *Interceptor) DoConcurrent(cmds []action.Command) (err error) {
 	last := stamped[len(stamped)-1]
 	if err := i.execute(root, func() error { return ce.ExecuteConcurrent(stamped) }); err != nil {
 		for _, cmd := range stamped {
-			i.record(cmd, "error", err.Error())
+			i.record(cmd, outcomeError, err.Error())
 		}
 		// The batch settles with a single post-state check: its commands
 		// executed as one simultaneous motion.
@@ -357,12 +457,12 @@ func (i *Interceptor) DoConcurrent(cmds []action.Command) (err error) {
 	}
 	if i.checker != nil {
 		if err := i.checker.After(last); err != nil {
-			i.record(last, "error", err.Error())
+			i.record(last, outcomeError, err.Error())
 			return err
 		}
 	}
 	for _, cmd := range stamped {
-		i.record(cmd, "ok", "")
+		i.record(cmd, outcomeOK, "")
 	}
 	return nil
 }
@@ -371,8 +471,10 @@ func (i *Interceptor) DoConcurrent(cmds []action.Command) (err error) {
 func (i *Interceptor) Records() []Record {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	out := make([]Record, len(i.records))
-	copy(out, i.records)
+	out := make([]Record, len(i.log))
+	for k := range i.log {
+		out[k] = i.interned.unpack(&i.log[k])
+	}
 	return out
 }
 
@@ -380,7 +482,7 @@ func (i *Interceptor) Records() []Record {
 func (i *Interceptor) Len() int {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	return len(i.records)
+	return len(i.log)
 }
 
 // Reset clears the trace and sequence counter (between evaluation
@@ -388,7 +490,8 @@ func (i *Interceptor) Len() int {
 func (i *Interceptor) Reset() {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	i.records = nil
+	i.log = nil
+	i.interned = internTable{}
 	i.seq = 0
 	i.finishTraceLocked()
 }

@@ -145,42 +145,69 @@ func (a *Arm) capsules() ([]geom.Capsule, error) {
 
 // labeledCapsulesAt returns the labelled collision volume for an arbitrary
 // joint configuration and roll, including the held object (if any) hanging
-// below the TCP. Held objects hang straight down regardless of roll — the
-// gripper holds vials by the cap, so gravity keeps them vertical.
+// below the TCP, from one forward pass.
 func (w *World) labeledCapsulesAt(a *Arm, joints []float64, roll float64) ([]labeledCapsule, error) {
 	linkCaps, err := a.Profile.Chain.LinkCapsules(joints)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]labeledCapsule, 0, len(linkCaps)+2)
+	return appendLabeled(out, a, linkCaps, roll, w.heldLoadLocked(a)), nil
+}
+
+// heldLoad is the collision volume of the object an arm carries: a
+// capsule of the object's radius hanging hang metres straight down from
+// the TCP. Held objects hang straight down regardless of roll — the
+// gripper holds vials by the cap, so gravity keeps them vertical. A
+// zero heldLoad (empty part) means nothing intact is held.
+type heldLoad struct {
+	part   string // "held:<objectID>"
+	hang   float64
+	radius float64
+}
+
+// heldLoadLocked resolves the arm's carried object. A sweep resolves it
+// once: nothing a sample checks changes it before the sweep stops.
+func (w *World) heldLoadLocked(a *Arm) heldLoad {
+	if a.Holding == "" {
+		return heldLoad{}
+	}
+	o, ok := w.objects[a.Holding]
+	if !ok || o.Broken {
+		return heldLoad{}
+	}
+	// The capsule's *surface* must end exactly at the object's bottom,
+	// so the segment stops one radius short of it.
+	hang := o.CarriedHang() - o.RadiusM
+	if hang < 0 {
+		hang = 0
+	}
+	return heldLoad{part: "held:" + o.ID, hang: hang, radius: o.RadiusM}
+}
+
+// appendLabeled appends the arm's labelled collision volume to dst: the
+// chain's link capsules, the finger blade oriented by roll, and the held
+// load. The TCP is read off the link capsules' end-effector stub, whose
+// anchor carries the same bits as Chain.EndEffector, so no second
+// forward pass runs.
+func appendLabeled(dst []labeledCapsule, a *Arm, linkCaps []geom.Capsule, roll float64, held heldLoad) []labeledCapsule {
 	for _, c := range linkCaps {
-		out = append(out, labeledCapsule{cap: c, part: "link"})
+		dst = append(dst, labeledCapsule{cap: c, part: "link"})
 	}
-	tcp, err := a.Profile.Chain.EndEffector(joints)
-	if err != nil {
-		return nil, err
-	}
+	tcp := linkCaps[len(linkCaps)-1].Seg.A
 	tip := tcp.Add(fingerDirection(roll).Scale(a.FingerDrop))
-	out = append(out, labeledCapsule{
+	dst = append(dst, labeledCapsule{
 		cap:  geom.NewCapsule(tcp, tip, a.FingerRadius),
 		part: "fingers",
 	})
-	if a.Holding != "" {
-		if o, ok := w.objects[a.Holding]; ok && !o.Broken {
-			// The capsule's *surface* must end exactly at the object's
-			// bottom, so the segment stops one radius short of it.
-			hang := o.CarriedHang() - o.RadiusM
-			if hang < 0 {
-				hang = 0
-			}
-			bottom := tcp.Add(geom.V(0, 0, -hang))
-			out = append(out, labeledCapsule{
-				cap:  geom.NewCapsule(tcp, bottom, o.RadiusM),
-				part: "held:" + o.ID,
-			})
-		}
+	if held.part != "" {
+		bottom := tcp.Add(geom.V(0, 0, -held.hang))
+		dst = append(dst, labeledCapsule{
+			cap:  geom.NewCapsule(tcp, bottom, held.radius),
+			part: held.part,
+		})
 	}
-	return out, nil
+	return dst
 }
 
 // CloseGripper closes the arm's gripper. If an intact object rests at a

@@ -158,19 +158,25 @@ func (w *World) MoveArmsConcurrently(moves []ConcurrentMove) error {
 	for li, l := range legs {
 		legObstacles[li] = w.obstaclesLocked(l.arm, l.mv.Opts, moving)
 	}
+	// Per-leg sample buffers and held loads, reused across samples.
+	sweeps := make([]kin.Sweep, len(legs))
+	held := make([]heldLoad, len(legs))
+	for li, l := range legs {
+		held[li] = w.heldLoadLocked(l.arm)
+	}
+	allCaps := make([][]labeledCapsule, len(legs))
+	allBounds := make([][]geom.AABB, len(legs))
 	for i := 0; i <= n; i++ {
 		t := float64(i) / float64(n)
 		// Position every leg at t, then check each against statics and
 		// against the other moving arms.
-		allCaps := make([][]labeledCapsule, len(legs))
-		allBounds := make([][]geom.AABB, len(legs))
 		for li, l := range legs {
-			caps, err := w.labeledCapsulesAt(l.arm, l.tr.At(t), l.mv.Opts.Roll)
+			linkCaps, err := sweeps[li].CapsulesAt(l.tr, t)
 			if err != nil {
 				return fmt.Errorf("world: concurrent sweep: %w", err)
 			}
-			allCaps[li] = caps
-			allBounds[li], _ = capsuleBounds(caps, nil)
+			allCaps[li] = appendLabeled(allCaps[li][:0], l.arm, linkCaps, l.mv.Opts.Roll, held[li])
+			allBounds[li], _ = capsuleBounds(allCaps[li], allBounds[li][:0])
 		}
 		for li, l := range legs {
 			if ev, hit := w.checkCapsulesLocked(l.arm, allCaps[li], allBounds[li], legObstacles[li]); hit {
@@ -280,14 +286,18 @@ func (w *World) finishMoveLocked(a *Arm, tr *kin.Trajectory, opts MoveOptions, c
 func (w *World) sweepLocked(a *Arm, tr *kin.Trajectory, opts MoveOptions, extraIgnore map[string]bool) error {
 	obstacles := w.obstaclesLocked(a, opts, extraIgnore)
 	others := w.parkedArmsLocked(a, extraIgnore)
+	held := w.heldLoadLocked(a)
+	var sw kin.Sweep
+	var caps []labeledCapsule
 	var scratch [24]geom.AABB
 	n := tr.SampleCount(sweepStep)
 	for i := 0; i <= n; i++ {
 		t := float64(i) / float64(n)
-		caps, err := w.labeledCapsulesAt(a, tr.At(t), opts.Roll)
+		linkCaps, err := sw.CapsulesAt(tr, t)
 		if err != nil {
 			return fmt.Errorf("world: sweep: %w", err)
 		}
+		caps = appendLabeled(caps[:0], a, linkCaps, opts.Roll, held)
 		capBounds, bound := capsuleBounds(caps, scratch[:0])
 		if ev, hit := w.checkCapsulesLocked(a, caps, capBounds, obstacles); hit {
 			a.Joints = tr.At(t)

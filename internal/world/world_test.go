@@ -21,7 +21,7 @@ import (
 //	dosing dev  body (0.05,0.35,0)–(0.25,0.55,0.30), interior inset 0.03,
 //	            door on the Y- face
 //	hotplate    solid box (0.48,0.38,0)–(0.62,0.52,0.12)
-func testDeck(t *testing.T) *World {
+func testDeck(t testing.TB) *World {
 	t.Helper()
 	w := New(1)
 
