@@ -8,7 +8,6 @@ import (
 	"repro/internal/bugs"
 	"repro/internal/config"
 	"repro/internal/env"
-	"repro/internal/eval"
 	"repro/internal/geom"
 	"repro/internal/labs"
 	otrace "repro/internal/obs/trace"
@@ -136,22 +135,25 @@ func BenchmarkAblation_DetectionValue(b *testing.B) {
 	bug, _ := bugs.ByID(7)
 	configs := []struct {
 		name string
-		opt  eval.Options
+		opt  rabit.Options
 	}{
-		{"initial-no-mux", eval.Options{
-			Stage:     env.StageTestbed,
-			Rules:     rules.Config{Generation: rules.GenInitial, Multiplex: rules.MultiplexNone},
-			WithRABIT: true, Seed: 1,
+		{"initial-no-mux", rabit.Options{
+			Stage:      env.StageTestbed,
+			Generation: rules.GenInitial,
+			Multiplex:  rules.MultiplexNone,
+			Seed:       1,
 		}},
-		{"modified-time-mux", eval.Options{
-			Stage:     env.StageTestbed,
-			Rules:     rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexTime},
-			WithRABIT: true, Seed: 1,
+		{"modified-time-mux", rabit.Options{
+			Stage:      env.StageTestbed,
+			Generation: rules.GenModified,
+			Multiplex:  rules.MultiplexTime,
+			Seed:       1,
 		}},
-		{"modified-space-mux", eval.Options{
-			Stage:     env.StageTestbed,
-			Rules:     rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexSpace},
-			WithRABIT: true, Seed: 1,
+		{"modified-space-mux", rabit.Options{
+			Stage:      env.StageTestbed,
+			Generation: rules.GenModified,
+			Multiplex:  rules.MultiplexSpace,
+			Seed:       1,
 		}},
 	}
 	for _, cfg := range configs {
@@ -159,7 +161,7 @@ func BenchmarkAblation_DetectionValue(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			detections := 0
 			for i := 0; i < b.N; i++ {
-				s, err := eval.NewSetup(testbedSpec(), cfg.opt)
+				s, err := rabit.New(testbedSpec(), cfg.opt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -168,6 +170,7 @@ func BenchmarkAblation_DetectionValue(b *testing.B) {
 				if len(s.Engine.Alerts()) > 0 {
 					detections++
 				}
+				s.Close()
 			}
 			b.ReportMetric(float64(detections)/float64(b.N), "detected")
 		})

@@ -410,8 +410,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 						Scripts:           scripts,
 						CommandsPerScript: 40,
 						Speedup:           200,
-						Serial:            mode.serial,
-						Seed:              int64(i + 1),
+						System:            rabit.Options{SerialPipeline: mode.serial, Seed: int64(i + 1)},
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -444,8 +443,7 @@ func BenchmarkLabeledObsOverhead(b *testing.B) {
 				Scripts:           4,
 				CommandsPerScript: 40,
 				Speedup:           200,
-				NoRuleMetrics:     noMetrics,
-				Seed:              int64(i + 1),
+				System:            rabit.Options{NoRuleMetrics: noMetrics, Seed: int64(i + 1)},
 			})
 			if err != nil {
 				b.Fatal(err)

@@ -72,6 +72,7 @@ import (
 	"strings"
 	"time"
 
+	rabit "repro"
 	"repro/internal/campaign"
 	"repro/internal/env"
 	"repro/internal/eval"
@@ -308,8 +309,7 @@ func throughputRun(seed int64, jsonPath string, gwLabs int) error {
 				Scripts:           scripts,
 				CommandsPerScript: 40,
 				Speedup:           200,
-				Serial:            serial,
-				Seed:              seed,
+				System:            rabit.Options{SerialPipeline: serial, Seed: seed},
 			})
 			if err != nil {
 				return err
@@ -328,7 +328,7 @@ func throughputRun(seed int64, jsonPath string, gwLabs int) error {
 				Scripts:           scripts,
 				CommandsPerScript: 40,
 				Speedup:           200,
-				Seed:              seed,
+				System:            rabit.Options{Seed: seed},
 			})
 			if err != nil {
 				return err

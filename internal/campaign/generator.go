@@ -49,9 +49,6 @@ func (g *Generator) Decks() []*Deck {
 	return out
 }
 
-// Master returns the campaign seed.
-func (g *Generator) Master() uint64 { return g.master }
-
 // faultRate is the fraction of scenarios that carry an injection; the
 // rest are the clean control population the false-alarm rate is measured
 // on.

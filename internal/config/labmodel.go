@@ -203,15 +203,6 @@ func (l *Lab) MatchLocation(armID string, p geom.Vec3) (string, bool) {
 	return bestName, bestName != ""
 }
 
-// DeckLocationPos returns a location's deck-frame position.
-func (l *Lab) DeckLocationPos(name string) (geom.Vec3, bool) {
-	loc, ok := l.locations[name]
-	if !ok {
-		return geom.Vec3{}, false
-	}
-	return loc.DeckPos.V3(), true
-}
-
 // DeviceBoxes implements rules.LabModel: every device cuboid translated
 // into the arm's frame.
 func (l *Lab) DeviceBoxes(armID string) []rules.NamedBox {

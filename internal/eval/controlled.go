@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"time"
 
+	rabit "repro"
 	"repro/internal/core"
 	"repro/internal/env"
 	"repro/internal/geom"
-	"repro/internal/rules"
 	"repro/internal/workflow"
 )
 
@@ -25,7 +25,7 @@ type ControlledScenario struct {
 	Name string
 	// Prepare pokes physical pre-conditions into the world before the
 	// engine starts (e.g. the centrifuge's red dot turned away).
-	Prepare func(s *Setup) error
+	Prepare func(s *rabit.System) error
 	// Run executes the unsafe script; it is expected to be stopped by an
 	// alert.
 	Run func(s *workflow.Session, armID string) error
@@ -177,7 +177,7 @@ func ControlledScenarios() []ControlledScenario {
 		{
 			RuleID: "hein-3", Table: "IV", Number: 3,
 			Name: "place a container into the centrifuge while the red dot faces away",
-			Prepare: func(s *Setup) error {
+			Prepare: func(s *rabit.System) error {
 				f, ok := s.Env.World().Fixture("centrifuge")
 				if !ok {
 					return fmt.Errorf("no centrifuge on this deck")
@@ -230,56 +230,62 @@ type ControlledResult struct {
 // RunControlled executes every controlled scenario on the given deck and
 // stage, each in a fresh environment.
 func RunControlled(deck string, stage env.Stage, seed int64) ([]ControlledResult, error) {
+	build := rabit.NewTestbed
+	if deck == "production" {
+		build = rabit.NewHeinProduction
+	}
+	o := rabit.Options{
+		Stage:      stage,
+		Generation: rabit.GenInitial,
+		Multiplex:  rabit.MultiplexNone,
+		Seed:       seed,
+	}
 	var out []ControlledResult
 	for _, sc := range ControlledScenarios() {
-		o := Options{
-			Stage:     stage,
-			Rules:     rules.Config{Generation: rules.GenInitial, Multiplex: rules.MultiplexNone},
-			WithRABIT: true,
-			Seed:      seed,
-		}
-		var s *Setup
-		var err error
-		switch deck {
-		case "production":
-			s, err = NewProductionSetup(o)
-		default:
-			s, err = NewTestbedSetup(o)
-		}
+		res, err := runControlledOnce(sc, build, o)
 		if err != nil {
 			return nil, fmt.Errorf("eval: controlled %s: %w", sc.RuleID, err)
-		}
-		if sc.Prepare != nil {
-			if err := sc.Prepare(s); err != nil {
-				return nil, fmt.Errorf("eval: controlled %s prepare: %w", sc.RuleID, err)
-			}
-			// Re-acquire S_initial so the engine observes the prepared
-			// state (Fig. 2 lines 1–3).
-			s.Engine.Start()
-		}
-		// For multi-arm decks, quiesce the second arm first so the
-		// scenario isn't polluted by unrelated concerns.
-		arm := s.Lab.ArmIDs()[0]
-		for _, other := range s.Lab.ArmIDs()[1:] {
-			if err := s.Session.Arm(other).GoSleep(); err != nil {
-				return nil, fmt.Errorf("eval: controlled %s quiesce: %w", sc.RuleID, err)
-			}
-		}
-		_ = sc.Run(s.Session, arm) // the error is the alert
-		res := ControlledResult{Scenario: sc}
-		alerts := s.Engine.Alerts()
-		if len(alerts) > 0 {
-			res.Detected = true
-			res.Alert = &alerts[0]
-			for _, v := range alerts[0].Violations {
-				if v.Rule.ID == sc.RuleID {
-					res.RuleHit = true
-				}
-			}
 		}
 		out = append(out, res)
 	}
 	return out, nil
+}
+
+// runControlledOnce runs one scenario on a fresh stack.
+func runControlledOnce(sc ControlledScenario, build func(rabit.Options) (*rabit.System, error), o rabit.Options) (ControlledResult, error) {
+	res := ControlledResult{Scenario: sc}
+	s, err := build(o)
+	if err != nil {
+		return res, err
+	}
+	defer s.Close()
+	if sc.Prepare != nil {
+		if err := sc.Prepare(s); err != nil {
+			return res, fmt.Errorf("prepare: %w", err)
+		}
+		// Re-acquire S_initial so the engine observes the prepared
+		// state (Fig. 2 lines 1–3).
+		s.Engine.Start()
+	}
+	// For multi-arm decks, quiesce the second arm first so the
+	// scenario isn't polluted by unrelated concerns.
+	arm := s.Lab.ArmIDs()[0]
+	for _, other := range s.Lab.ArmIDs()[1:] {
+		if err := s.Session.Arm(other).GoSleep(); err != nil {
+			return res, fmt.Errorf("quiesce: %w", err)
+		}
+	}
+	_ = sc.Run(s.Session, arm) // the error is the alert
+	if alerts := s.Engine.Alerts(); len(alerts) > 0 {
+		res.Detected = true
+		res.Alert = &alerts[0]
+		for _, v := range alerts[0].Violations {
+			if v.Rule.ID == sc.RuleID {
+				res.RuleHit = true
+			}
+		}
+	}
+	return res, nil
 }
 
 // vec is a terse constructor for scenario scripts.

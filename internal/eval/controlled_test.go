@@ -3,6 +3,7 @@ package eval
 import (
 	"testing"
 
+	rabit "repro"
 	"repro/internal/env"
 	"repro/internal/rules"
 )
@@ -58,10 +59,11 @@ func runControlledWithSim(t *testing.T, broadphase bool) []string {
 	t.Helper()
 	var out []string
 	for _, sc := range ControlledScenarios() {
-		s, err := NewTestbedSetup(Options{
-			Stage:     env.StageTestbed,
-			Rules:     rules.Config{Generation: rules.GenInitial, Multiplex: rules.MultiplexNone},
-			WithRABIT: true, WithSim: true, Seed: 1,
+		s, err := rabit.NewTestbed(rabit.Options{
+			Stage:             env.StageTestbed,
+			Generation:        rules.GenInitial,
+			Multiplex:         rules.MultiplexNone,
+			ExtendedSimulator: true, Seed: 1,
 		})
 		if err != nil {
 			t.Fatalf("controlled %s: %v", sc.RuleID, err)

@@ -5,10 +5,10 @@ import (
 	"os"
 	"sort"
 
+	rabit "repro"
 	"repro/internal/bugs"
 	"repro/internal/env"
 	otrace "repro/internal/obs/trace"
-	"repro/internal/rules"
 	"repro/internal/workflow"
 	"repro/internal/world"
 )
@@ -29,29 +29,33 @@ func StudyConfigs() []ConfigName {
 	return []ConfigName{ConfigInitial, ConfigModified, ConfigModifiedSim}
 }
 
-// options maps a configuration name to harness options.
-func (c ConfigName) options(seed int64) Options {
+// options maps a configuration name to facade options.
+func (c ConfigName) options(seed int64) rabit.Options {
 	switch c {
 	case ConfigInitial:
-		return Options{
-			Stage:     env.StageTestbed,
-			Rules:     rules.Config{Generation: rules.GenInitial, Multiplex: rules.MultiplexNone},
-			WithRABIT: true, Seed: seed,
+		return rabit.Options{
+			Stage:      env.StageTestbed,
+			Generation: rabit.GenInitial,
+			Multiplex:  rabit.MultiplexNone,
+			Seed:       seed,
 		}
 	case ConfigModified:
-		return Options{
-			Stage:     env.StageTestbed,
-			Rules:     rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexTime},
-			WithRABIT: true, Seed: seed,
+		return rabit.Options{
+			Stage:      env.StageTestbed,
+			Generation: rabit.GenModified,
+			Multiplex:  rabit.MultiplexTime,
+			Seed:       seed,
 		}
 	case ConfigModifiedSim:
-		return Options{
-			Stage:     env.StageTestbed,
-			Rules:     rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexTime},
-			WithRABIT: true, WithSim: true, Seed: seed,
+		return rabit.Options{
+			Stage:             env.StageTestbed,
+			Generation:        rabit.GenModified,
+			Multiplex:         rabit.MultiplexTime,
+			ExtendedSimulator: true,
+			Seed:              seed,
 		}
 	default:
-		return Options{}
+		return rabit.Options{Unprotected: true}
 	}
 }
 
@@ -133,7 +137,7 @@ func RunBugStudyForensics(seed int64, incidentDir, traceFile string) (*BugStudy,
 			out.AlertKinds[cfg] = kind
 		}
 		// Unprotected ground truth.
-		s, err := NewTestbedSetup(Options{Stage: env.StageTestbed, WithRABIT: false, Seed: seed})
+		s, err := rabit.NewTestbed(rabit.Options{Stage: env.StageTestbed, Unprotected: true, Seed: seed})
 		if err != nil {
 			return nil, fmt.Errorf("eval: bug %d baseline: %w", b.ID, err)
 		}
@@ -154,8 +158,8 @@ func RunBugStudyForensics(seed int64, incidentDir, traceFile string) (*BugStudy,
 
 // runBugOnce replays one bug under one configuration; detected is whether
 // the engine raised any alert.
-func runBugOnce(b bugs.Bug, o Options) (bool, string, error) {
-	s, err := NewTestbedSetup(o)
+func runBugOnce(b bugs.Bug, o rabit.Options) (bool, string, error) {
+	s, err := rabit.NewTestbed(o)
 	if err != nil {
 		return false, "", err
 	}

@@ -3,6 +3,7 @@ package eval
 import (
 	"testing"
 
+	rabit "repro"
 	"repro/internal/bugs"
 	"repro/internal/env"
 	"repro/internal/rules"
@@ -182,11 +183,11 @@ func TestSuiteShape(t *testing.T) {
 // before any motion, while arms may still move concurrently inside their
 // own zones.
 func TestSpaceMultiplexingAlsoCatchesTwoArmBugs(t *testing.T) {
-	opts := Options{
-		Stage:     env.StageTestbed,
-		Rules:     rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexSpace},
-		WithRABIT: true,
-		Seed:      1,
+	opts := rabit.Options{
+		Stage:      env.StageTestbed,
+		Generation: rules.GenModified,
+		Multiplex:  rules.MultiplexSpace,
+		Seed:       1,
 	}
 	for _, id := range []int{7, 8} {
 		b, _ := bugs.ByID(id)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	rabit "repro"
 	"repro/internal/action"
 	"repro/internal/env"
 	"repro/internal/geom"
@@ -18,15 +19,15 @@ import (
 
 // forensicsOptions is the fully equipped testbed configuration with the
 // flight recorder writing bundles to dir.
-func forensicsOptions(dir, tag string) Options {
-	return Options{
-		Stage:       env.StageTestbed,
-		Rules:       rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexTime},
-		WithRABIT:   true,
-		WithSim:     true,
-		IncidentDir: dir,
-		IncidentTag: tag,
-		Seed:        1,
+func forensicsOptions(dir, tag string) rabit.Options {
+	return rabit.Options{
+		Stage:             env.StageTestbed,
+		Generation:        rules.GenModified,
+		Multiplex:         rules.MultiplexTime,
+		ExtendedSimulator: true,
+		IncidentDir:       dir,
+		IncidentTag:       tag,
+		Seed:              1,
 	}
 }
 
@@ -37,7 +38,7 @@ func forensicsOptions(dir, tag string) Options {
 // → hinting command.
 func TestSpeculativeChainForensics(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewTestbedSetup(forensicsOptions(dir, "spec-chain"))
+	s, err := rabit.NewTestbed(forensicsOptions(dir, "spec-chain"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,10 +216,10 @@ func TestBugStudyIncidentForensics(t *testing.T) {
 func TestShardedRecorderRace(t *testing.T) {
 	const scripts = 8
 	dir := t.TempDir()
-	s, err := NewSetup(throughputSpec(scripts), Options{
+	s, err := rabit.New(throughputSpec(scripts), rabit.Options{
 		Stage:       env.StageTestbed,
-		Rules:       rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexTime},
-		WithRABIT:   true,
+		Generation:  rules.GenModified,
+		Multiplex:   rules.MultiplexTime,
 		IncidentDir: dir,
 		IncidentTag: "race",
 		Seed:        1,
@@ -323,10 +324,10 @@ func randomInterleaving(rng *rand.Rand, scripts, perScript int) []action.Command
 // comparable verdict: per-command outcomes plus the alert signature.
 func replayVerdict(t *testing.T, cmds []action.Command, unsafeAt int, noRecorder bool) []string {
 	t.Helper()
-	s, err := NewSetup(throughputSpec(8), Options{
+	s, err := rabit.New(throughputSpec(8), rabit.Options{
 		Stage:      env.StageTestbed,
-		Rules:      rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexTime},
-		WithRABIT:  true,
+		Generation: rules.GenModified,
+		Multiplex:  rules.MultiplexTime,
 		NoRecorder: noRecorder,
 		Seed:       1,
 	})
@@ -380,8 +381,7 @@ func BenchmarkRecorderOverhead(b *testing.B) {
 			Scripts:           8,
 			CommandsPerScript: perScript,
 			Speedup:           speedup,
-			NoRecorder:        noRecorder,
-			Seed:              1,
+			System:            rabit.Options{NoRecorder: noRecorder, Seed: 1},
 		})
 		if err != nil {
 			b.Fatal(err)

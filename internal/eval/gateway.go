@@ -26,13 +26,12 @@ type GatewayThroughputOptions struct {
 	// Scripts is the total number of concurrent experiment scripts,
 	// spread round-robin across the lab tenants (one session each).
 	Scripts int
-	// CommandsPerScript, Speedup, NoRecorder, NoTracing, Seed are as in
-	// ThroughputOptions.
+	// CommandsPerScript and Speedup are as in ThroughputOptions.
 	CommandsPerScript int
 	Speedup           float64
-	NoRecorder        bool
-	NoTracing         bool
-	Seed              int64
+	// System is every tenant's stack configuration, passed to the
+	// gateway as gateway.Options.System.
+	System rabit.Options
 }
 
 // GatewayThroughput boots an in-process gateway, attaches one session
@@ -54,11 +53,7 @@ func GatewayThroughput(o GatewayThroughputOptions) (*ThroughputResult, error) {
 	var mu sync.Mutex
 	systems := map[string]*rabit.System{}
 	gw := gateway.New(gateway.Options{
-		System: rabit.Options{
-			NoRecorder: o.NoRecorder,
-			NoTracing:  o.NoTracing,
-			Seed:       o.Seed,
-		},
+		System: o.System,
 		// The benchmark measures checking throughput, not backpressure:
 		// size the admission queue so every script on a lab can be in
 		// flight at once.

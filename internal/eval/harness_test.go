@@ -3,31 +3,33 @@ package eval
 import (
 	"testing"
 
+	rabit "repro"
 	"repro/internal/env"
+	"repro/internal/obs"
 	"repro/internal/rules"
 	"repro/internal/workflow"
 )
 
 // configsUnderTest enumerates the three engine configurations the paper's
 // narrative steps through.
-func configsUnderTest() []Options {
-	return []Options{
-		{Rules: rules.Config{Generation: rules.GenInitial}, WithRABIT: true, Seed: 1},
-		{Rules: rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexTime}, WithRABIT: true, Seed: 1},
-		{Rules: rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexTime}, WithRABIT: true, WithSim: true, Seed: 1},
+func configsUnderTest() []rabit.Options {
+	return []rabit.Options{
+		{Generation: rules.GenInitial, Seed: 1},
+		{Generation: rules.GenModified, Multiplex: rules.MultiplexTime, Seed: 1},
+		{Generation: rules.GenModified, Multiplex: rules.MultiplexTime, ExtendedSimulator: true, Seed: 1},
 	}
 }
 
 func TestSafeFig5WorkflowProducesNoAlertsAndNoDamage(t *testing.T) {
 	for i, o := range configsUnderTest() {
 		o.Stage = env.StageTestbed
-		s, err := NewTestbedSetup(o)
+		s, err := rabit.NewTestbed(o)
 		if err != nil {
 			t.Fatalf("config %d: %v", i, err)
 		}
 		if err := workflow.RunSteps(s.Session, workflow.Fig5Workflow()); err != nil {
 			t.Fatalf("config %d (%s, sim=%v): safe workflow failed: %v",
-				i, o.Rules.Generation, o.WithSim, err)
+				i, o.Generation, o.ExtendedSimulator, err)
 		}
 		if alerts := s.Engine.Alerts(); len(alerts) != 0 {
 			t.Errorf("config %d: false positives: %v", i, alerts)
@@ -39,7 +41,7 @@ func TestSafeFig5WorkflowProducesNoAlertsAndNoDamage(t *testing.T) {
 }
 
 func TestSafeFig5WorkflowWithoutRABIT(t *testing.T) {
-	s, err := NewTestbedSetup(Options{Stage: env.StageTestbed, WithRABIT: false, Seed: 1})
+	s, err := rabit.NewTestbed(rabit.Options{Stage: env.StageTestbed, Unprotected: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,5 +58,32 @@ func TestSafeFig5WorkflowWithoutRABIT(t *testing.T) {
 	}
 	if o.HeldBy != "ned2" {
 		t.Errorf("vial held by %q, want ned2", o.HeldBy)
+	}
+}
+
+// TestEntryPointsCloseTheirSystems checks that each evaluation entry
+// point closes every stack it builds: the process-wide scrape and SLO
+// groups hold as many entries afterwards as before, so a long
+// `rabiteval -metrics` run does not export dead stacks.
+func TestEntryPointsCloseTheirSystems(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Latency", func() error { _, err := Latency(1, 1000); return err }},
+		{"RunControlled", func() error { _, err := RunControlled("testbed", env.StageTestbed, 1); return err }},
+		{"TableI", func() error { _, err := TableI(1); return err }},
+		{"Motion", func() error { _, err := Motion(MotionOptions{Visits: 2, Seed: 1}); return err }},
+	} {
+		regs, slos := len(obs.DefaultGroup.Snapshots()), len(obs.DefaultGroup.SLOSnapshots())
+		if err := tc.run(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := len(obs.DefaultGroup.Snapshots()); got != regs {
+			t.Errorf("%s left %d registries behind", tc.name, got-regs)
+		}
+		if got := len(obs.DefaultGroup.SLOSnapshots()); got != slos {
+			t.Errorf("%s left %d SLO registrations behind", tc.name, got-slos)
+		}
 	}
 }

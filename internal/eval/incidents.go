@@ -45,15 +45,6 @@ type IncidentReport struct {
 	SpeculationServed int
 }
 
-// AnalyzeIncidents loads every bundle under root and aggregates it.
-func AnalyzeIncidents(root string) (*IncidentReport, error) {
-	incs, err := recorder.LoadIncidents(root)
-	if err != nil {
-		return nil, fmt.Errorf("eval: incidents: %w", err)
-	}
-	return BuildIncidentReport(incs), nil
-}
-
 // BuildIncidentReport aggregates already-loaded bundles.
 func BuildIncidentReport(incs []*recorder.Incident) *IncidentReport {
 	rep := &IncidentReport{

@@ -3,6 +3,7 @@ package eval
 import (
 	"testing"
 
+	rabit "repro"
 	"repro/internal/bugs"
 	"repro/internal/workflow"
 )
@@ -14,7 +15,7 @@ import (
 // returns every alert text the run raised.
 func runBugWithBroadphase(t *testing.T, b bugs.Bug, broadphase bool) []string {
 	t.Helper()
-	s, err := NewTestbedSetup(ConfigModifiedSim.options(1))
+	s, err := rabit.NewTestbed(ConfigModifiedSim.options(1))
 	if err != nil {
 		t.Fatalf("bug %d (%s): %v", b.ID, b.Slug, err)
 	}

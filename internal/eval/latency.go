@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	rabit "repro"
 	"repro/internal/env"
 	"repro/internal/obs"
-	"repro/internal/rules"
 	"repro/internal/workflow"
 )
 
@@ -61,58 +61,74 @@ func stageLatency(reg *obs.Registry, stage string) StageLatency {
 func Latency(seed int64, speedup float64) ([]LatencyResult, error) {
 	modes := []struct {
 		name string
-		opt  Options
+		opt  rabit.Options
 	}{
-		{"RABIT (no simulator)", Options{
-			Stage:     env.StageTestbed,
-			Rules:     rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexTime},
-			WithRABIT: true, Seed: seed,
+		{"RABIT (no simulator)", rabit.Options{
+			Stage:      env.StageTestbed,
+			Generation: rabit.GenModified,
+			Multiplex:  rabit.MultiplexTime,
+			Seed:       seed,
 		}},
-		{"RABIT + Extended Simulator (headless)", Options{
-			Stage:     env.StageTestbed,
-			Rules:     rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexTime},
-			WithRABIT: true, WithSim: true, Seed: seed,
+		{"RABIT + Extended Simulator (headless)", rabit.Options{
+			Stage:             env.StageTestbed,
+			Generation:        rabit.GenModified,
+			Multiplex:         rabit.MultiplexTime,
+			ExtendedSimulator: true,
+			Seed:              seed,
 		}},
-		{"RABIT + Extended Simulator (GUI)", Options{
-			Stage:     env.StageTestbed,
-			Rules:     rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexTime},
-			WithRABIT: true, WithSim: true, SimGUI: true, Seed: seed,
+		{"RABIT + Extended Simulator (GUI)", rabit.Options{
+			Stage:             env.StageTestbed,
+			Generation:        rabit.GenModified,
+			Multiplex:         rabit.MultiplexTime,
+			ExtendedSimulator: true,
+			SimulatorGUI:      true,
+			Seed:              seed,
 		}},
 	}
 	var out []LatencyResult
 	for _, m := range modes {
-		s, err := NewTestbedSetup(m.opt)
+		res, err := latencyRun(m.name, m.opt, speedup)
 		if err != nil {
 			return nil, fmt.Errorf("eval: latency %s: %w", m.name, err)
-		}
-		s.Env.SetPacing(speedup)
-		start := time.Now()
-		if err := workflow.RunSteps(s.Session, workflow.Fig5Workflow()); err != nil {
-			return nil, fmt.Errorf("eval: latency %s: workload failed: %w", m.name, err)
-		}
-		total := time.Since(start)
-		check, commands := s.Engine.CheckOverhead()
-		exec := total - check
-		if commands == 0 {
-			commands = 1
-		}
-		res := LatencyResult{
-			Mode:            m.name,
-			Commands:        commands,
-			CheckPerCommand: check / time.Duration(commands),
-			ExecPerCommand:  exec / time.Duration(commands),
-			Validate:        stageLatency(s.Obs, obs.StageValidate),
-			Trajectory:      stageLatency(s.Obs, obs.StageTrajectory),
-			Compare:         stageLatency(s.Obs, obs.StageCompare),
-			SimKept:         s.Obs.Counter(obs.CounterSimBroadphaseKept).Value(),
-			SimPruned:       s.Obs.Counter(obs.CounterSimBroadphasePruned).Value(),
-		}
-		if exec > 0 {
-			res.OverheadPct = 100 * float64(check) / float64(exec)
 		}
 		out = append(out, res)
 	}
 	return out, nil
+}
+
+// latencyRun measures one configuration of the latency experiment.
+func latencyRun(mode string, o rabit.Options, speedup float64) (LatencyResult, error) {
+	s, err := rabit.NewTestbed(o)
+	if err != nil {
+		return LatencyResult{}, err
+	}
+	defer s.Close()
+	s.Env.SetPacing(speedup)
+	start := time.Now()
+	if err := workflow.RunSteps(s.Session, workflow.Fig5Workflow()); err != nil {
+		return LatencyResult{}, fmt.Errorf("workload failed: %w", err)
+	}
+	total := time.Since(start)
+	check, commands := s.Engine.CheckOverhead()
+	exec := total - check
+	if commands == 0 {
+		commands = 1
+	}
+	res := LatencyResult{
+		Mode:            mode,
+		Commands:        commands,
+		CheckPerCommand: check / time.Duration(commands),
+		ExecPerCommand:  exec / time.Duration(commands),
+		Validate:        stageLatency(s.Obs, obs.StageValidate),
+		Trajectory:      stageLatency(s.Obs, obs.StageTrajectory),
+		Compare:         stageLatency(s.Obs, obs.StageCompare),
+		SimKept:         s.Obs.Counter(obs.CounterSimBroadphaseKept).Value(),
+		SimPruned:       s.Obs.Counter(obs.CounterSimBroadphasePruned).Value(),
+	}
+	if exec > 0 {
+		res.OverheadPct = 100 * float64(check) / float64(exec)
+	}
+	return res, nil
 }
 
 // RenderLatency prints the latency rows with the per-stage breakdown

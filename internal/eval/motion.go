@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"time"
 
+	rabit "repro"
 	"repro/internal/action"
 	"repro/internal/env"
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/rules"
 )
 
 // The motion benchmark measures the PR's motion-planning fast path on a
@@ -131,12 +131,12 @@ func Motion(o MotionOptions) ([]MotionResult, error) {
 }
 
 func runMotion(mode string, o MotionOptions) (*MotionResult, error) {
-	opt := Options{
-		Stage:     env.StageTestbed,
-		Rules:     rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexTime},
-		WithRABIT: true,
-		WithSim:   true,
-		Seed:      o.Seed,
+	opt := rabit.Options{
+		Stage:             env.StageTestbed,
+		Generation:        rabit.GenModified,
+		Multiplex:         rabit.MultiplexTime,
+		ExtendedSimulator: true,
+		Seed:              o.Seed,
 	}
 	switch mode {
 	case MotionModeCold:
@@ -144,11 +144,11 @@ func runMotion(mode string, o MotionOptions) (*MotionResult, error) {
 	case MotionModeCached:
 		opt.NoSpeculation = true
 	}
-	s, err := NewTestbedSetup(opt)
+	s, err := rabit.NewTestbed(opt)
 	if err != nil {
 		return nil, fmt.Errorf("eval: motion %s: %w", mode, err)
 	}
-	defer obs.Unregister(s.Obs)
+	defer s.Close()
 
 	cmds := motionScript(o.Visits)
 	spec := mode == MotionModeSpec

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	rabit "repro"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/env"
@@ -42,13 +43,13 @@ func multiDoorSpec() *config.LabSpec {
 	return spec
 }
 
-func multiDoorSetup(t *testing.T) *Setup {
+func multiDoorSetup(t *testing.T) *rabit.System {
 	t.Helper()
-	s, err := NewSetup(multiDoorSpec(), Options{
-		Stage:     env.StageTestbed,
-		Rules:     rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexTime},
-		WithRABIT: true,
-		Seed:      1,
+	s, err := rabit.New(multiDoorSpec(), rabit.Options{
+		Stage:      env.StageTestbed,
+		Generation: rules.GenModified,
+		Multiplex:  rules.MultiplexTime,
+		Seed:       1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +189,7 @@ func TestMultiDoorRuleNineRequiresAllClosed(t *testing.T) {
 func TestMultiDoorPhysicalPassThrough(t *testing.T) {
 	// Unprotected ground truth: entering through the open west door is
 	// safe; continuing east into the *closed* east panel breaks it.
-	s, err := NewSetup(multiDoorSpec(), Options{Stage: env.StageTestbed, WithRABIT: false, Seed: 1})
+	s, err := rabit.New(multiDoorSpec(), rabit.Options{Stage: env.StageTestbed, Unprotected: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

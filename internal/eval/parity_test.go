@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	rabit "repro"
 	"repro/internal/bugs"
 	"repro/internal/core"
 	"repro/internal/env"
@@ -33,10 +34,10 @@ func alertSignature(alerts []core.Alert) []string {
 // runControlledParity replays one controlled scenario under one pipeline,
 // mirroring RunControlled's body, and returns the verdict.
 func runControlledParity(sc ControlledScenario, serial bool) ([]string, state.Snapshot, error) {
-	s, err := NewTestbedSetup(Options{
+	s, err := rabit.NewTestbed(rabit.Options{
 		Stage:          env.StageTestbed,
-		Rules:          rules.Config{Generation: rules.GenInitial, Multiplex: rules.MultiplexNone},
-		WithRABIT:      true,
+		Generation:     rules.GenInitial,
+		Multiplex:      rules.MultiplexNone,
 		SerialPipeline: serial,
 		Seed:           7,
 	})
@@ -90,8 +91,8 @@ func TestControlledScenariosParity(t *testing.T) {
 
 // runBugParity replays one injected bug under one pipeline and returns
 // the verdict (alert signature plus final model).
-func runBugParity(b bugs.Bug, o Options) ([]string, state.Snapshot, error) {
-	s, err := NewTestbedSetup(o)
+func runBugParity(b bugs.Bug, o rabit.Options) ([]string, state.Snapshot, error) {
+	s, err := rabit.NewTestbed(o)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -117,12 +118,12 @@ func TestBugSuiteParity(t *testing.T) {
 			b := b
 			cfg := cfg
 			t.Run(fmt.Sprintf("%s/bug%02d-%s", cfg.name, b.ID, b.Slug), func(t *testing.T) {
-				base := Options{
-					Stage:     env.StageTestbed,
-					Rules:     rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexTime},
-					WithRABIT: true,
-					WithSim:   cfg.withSim,
-					Seed:      1,
+				base := rabit.Options{
+					Stage:             env.StageTestbed,
+					Generation:        rules.GenModified,
+					Multiplex:         rules.MultiplexTime,
+					ExtendedSimulator: cfg.withSim,
+					Seed:              1,
 				}
 				serial := base
 				serial.SerialPipeline = true

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	rabit "repro"
 	"repro/internal/bugs"
 	"repro/internal/obs"
 	"repro/internal/workflow"
@@ -88,8 +89,8 @@ func mergeRuleFamilies(acc map[string]*RuleStats, snap obs.Snapshot) {
 // stats ranked by fire rate (ties: eval count, then rule ID).
 func RulesReport(seed int64) ([]RuleStats, error) {
 	acc := make(map[string]*RuleStats)
-	collect := func(run func(s *Setup)) error {
-		s, err := NewTestbedSetup(ConfigModified.options(seed))
+	collect := func(run func(s *rabit.System)) error {
+		s, err := rabit.NewTestbed(ConfigModified.options(seed))
 		if err != nil {
 			return err
 		}
@@ -100,14 +101,14 @@ func RulesReport(seed int64) ([]RuleStats, error) {
 	}
 	// One clean run: every rule evaluated, nothing firing — the margin
 	// and latency baseline.
-	if err := collect(func(s *Setup) {
+	if err := collect(func(s *rabit.System) {
 		_ = workflow.RunSteps(s.Session, workflow.Fig5Workflow())
 	}); err != nil {
 		return nil, fmt.Errorf("eval: rules report: clean run: %w", err)
 	}
 	// The sixteen injected bugs: the fire-rate signal.
 	for _, b := range bugs.Suite() {
-		if err := collect(func(s *Setup) {
+		if err := collect(func(s *rabit.System) {
 			_ = workflow.RunSteps(s.Session, b.Mutate(s.Session)) // the error is the alert itself
 		}); err != nil {
 			return nil, fmt.Errorf("eval: rules report: bug %d: %w", b.ID, err)

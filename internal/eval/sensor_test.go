@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	rabit "repro"
 	"repro/internal/action"
 	"repro/internal/config"
 	"repro/internal/device"
@@ -45,11 +46,11 @@ func testbedSpecWithSensor() *config.LabSpec {
 // reading enters RABIT's model through FetchState, and the JSON-declared
 // rule halts arm motion the moment a person is seen in the zone.
 func TestSensorDeviceClassBlocksMotion(t *testing.T) {
-	s, err := NewSetup(sensorSpec(), Options{
-		Stage:     env.StageTestbed,
-		Rules:     rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexTime},
-		WithRABIT: true,
-		Seed:      1,
+	s, err := rabit.New(sensorSpec(), rabit.Options{
+		Stage:      env.StageTestbed,
+		Generation: rules.GenModified,
+		Multiplex:  rules.MultiplexTime,
+		Seed:       1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,11 +97,11 @@ func TestSensorDeviceClassBlocksMotion(t *testing.T) {
 // "clear", so the rule passes while a person stands in the zone — the
 // false-negative failure mode that made them remove their sensors.
 func TestFrozenSensorIsWhyLabsDistrustThem(t *testing.T) {
-	s, err := NewSetup(sensorSpec(), Options{
-		Stage:     env.StageTestbed,
-		Rules:     rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexTime},
-		WithRABIT: true,
-		Seed:      1,
+	s, err := rabit.New(sensorSpec(), rabit.Options{
+		Stage:      env.StageTestbed,
+		Generation: rules.GenModified,
+		Multiplex:  rules.MultiplexTime,
+		Seed:       1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package eval
 import (
 	"testing"
 
+	rabit "repro"
 	"repro/internal/config"
 	"repro/internal/env"
 	"repro/internal/geom"
@@ -42,11 +43,11 @@ func TestRoundedShapesRelaxCornerClearance(t *testing.T) {
 		{"", true},      // cuboid: corner counts as solid
 		{"dome", false}, // dome: the corner is air
 	} {
-		s, err := NewSetup(shapeSpec(tc.shape), Options{
-			Stage:     env.StageTestbed,
-			Rules:     rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexTime},
-			WithRABIT: true,
-			Seed:      1,
+		s, err := rabit.New(shapeSpec(tc.shape), rabit.Options{
+			Stage:      env.StageTestbed,
+			Generation: rules.GenModified,
+			Multiplex:  rules.MultiplexTime,
+			Seed:       1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -74,11 +75,12 @@ func TestRoundedShapesRelaxCornerClearance(t *testing.T) {
 // dome's centre is caught under both models, by the target check and by
 // the Extended Simulator.
 func TestRoundedShapeStillBlocksRealCollisions(t *testing.T) {
-	s, err := NewSetup(shapeSpec("dome"), Options{
-		Stage:     env.StageTestbed,
-		Rules:     rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexTime},
-		WithRABIT: true, WithSim: true,
-		Seed: 1,
+	s, err := rabit.New(shapeSpec("dome"), rabit.Options{
+		Stage:             env.StageTestbed,
+		Generation:        rules.GenModified,
+		Multiplex:         rules.MultiplexTime,
+		ExtendedSimulator: true,
+		Seed:              1,
 	})
 	if err != nil {
 		t.Fatal(err)

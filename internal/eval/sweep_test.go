@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	rabit "repro"
 	"repro/internal/env"
 	"repro/internal/rules"
 	"repro/internal/workflow"
@@ -18,11 +19,11 @@ func TestSolubilityDoseSweep(t *testing.T) {
 		t.Skip("parameter sweep")
 	}
 	for _, doseMg := range []float64{2, 4, 6, 8} {
-		s, err := NewProductionSetup(Options{
-			Stage:     env.StageProduction,
-			Rules:     rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexNone},
-			WithRABIT: true,
-			Seed:      int64(10 + doseMg),
+		s, err := rabit.NewHeinProduction(rabit.Options{
+			Stage:      env.StageProduction,
+			Generation: rules.GenModified,
+			Multiplex:  rules.MultiplexNone,
+			Seed:       int64(10 + doseMg),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -1,3 +1,10 @@
+// Package eval is the evaluation harness: it reproduces every table and
+// figure of the paper's evaluation (Tables I, III, IV, V; the Fig. 5/6
+// bug study; the Section II-C latency measurements; the Section IV
+// detection-rate progression) by running the full RABIT stack over the
+// simulated stages. Every stack is built with the public facade
+// (rabit.New and its deck constructors) and closed once its numbers are
+// read, so a long evaluation leaves no dead registrations behind.
 package eval
 
 import (
@@ -5,6 +12,7 @@ import (
 	"math"
 	"time"
 
+	rabit "repro"
 	"repro/internal/bugs"
 	"repro/internal/env"
 	"repro/internal/geom"
@@ -68,18 +76,18 @@ func TableI(seed int64) ([]TableIRow, error) {
 // stageSetup builds the deck each stage actually consists of: the
 // simulator mirrors the production deck virtually; the testbed is the
 // low-fidelity two-arm deck; production is the real UR3e deck.
-func stageSetup(stage env.Stage, seed int64) (*Setup, error) {
-	o := Options{Stage: stage, WithRABIT: false, Seed: seed}
+func stageSetup(stage env.Stage, seed int64) (*rabit.System, error) {
+	o := rabit.Options{Stage: stage, Unprotected: true, Seed: seed}
 	if stage == env.StageTestbed {
-		return NewTestbedSetup(o)
+		return rabit.NewTestbed(o)
 	}
-	return NewProductionSetup(o)
+	return rabit.NewHeinProduction(o)
 }
 
 // stageWorkload runs the stage's representative experiment: the automated
 // solubility run on the (virtual or real) production deck, the Fig. 5
 // workflow on the testbed.
-func stageWorkload(stage env.Stage, s *Setup) error {
+func stageWorkload(stage env.Stage, s *rabit.System) error {
 	if stage == env.StageTestbed {
 		return workflow.RunSteps(s.Session, workflow.Fig5Workflow())
 	}
@@ -95,6 +103,7 @@ func measureStage(stage env.Stage, seed int64) (TableIRow, error) {
 	if err != nil {
 		return row, err
 	}
+	defer s.Close()
 	wallStart := time.Now()
 	if err := stageWorkload(stage, s); err != nil {
 		return row, fmt.Errorf("safe workload failed: %w", err)
@@ -121,6 +130,7 @@ func measureStage(stage env.Stage, seed int64) (TableIRow, error) {
 	if err != nil {
 		return row, err
 	}
+	defer probe.Close()
 	probePoints := []geom.Vec3{
 		{X: 0.25, Y: 0.05, Z: 0.30}, {X: 0.30, Y: -0.05, Z: 0.25},
 		{X: 0.35, Y: 0.05, Z: 0.28}, {X: 0.28, Y: 0.10, Z: 0.32},
@@ -172,17 +182,17 @@ func measureStage(stage env.Stage, seed int64) (TableIRow, error) {
 func unprotectedExposure(stage env.Stage, seed int64) float64 {
 	var total float64
 	for _, id := range []int{1, 5, 7, 13} { // door smash, overheat, arm-arm, glassware
-		s, err := NewTestbedSetup(Options{Stage: stage, WithRABIT: false, Seed: seed})
-		if err != nil {
-			continue
-		}
 		b, ok := bugs.ByID(id)
 		if !ok {
 			continue
 		}
-		steps := b.Mutate(s.Session)
-		_ = workflow.RunSteps(s.Session, steps)
+		s, err := rabit.NewTestbed(rabit.Options{Stage: stage, Unprotected: true, Seed: seed})
+		if err != nil {
+			continue
+		}
+		_ = workflow.RunSteps(s.Session, b.Mutate(s.Session))
 		total += s.Env.DamageCost()
+		s.Close()
 	}
 	return total
 }

@@ -5,11 +5,10 @@ import (
 	"sync"
 	"time"
 
+	rabit "repro"
 	"repro/internal/action"
 	"repro/internal/config"
-	"repro/internal/env"
 	"repro/internal/obs"
-	"repro/internal/rules"
 	"repro/internal/trace"
 )
 
@@ -27,26 +26,17 @@ type ThroughputOptions struct {
 	// time divided by this factor of real wall-clock time. Zero disables
 	// pacing (pure checking throughput).
 	Speedup float64
-	// Serial selects the baseline deployment: the engine's global
+	// System configures the engine stack every script shares. Its
+	// SerialPipeline selects the baseline deployment: the engine's global
 	// single-lock pipeline behind ONE shared interceptor. That pairing is
 	// not arbitrary — the seed engine chains every Before onto a single
 	// pending expectation that the next After settles, so interleaved
 	// Before/After from independent interceptors corrupts it; its only
 	// safe concurrent deployment serializes whole command cycles. The
 	// sharded engine lifts exactly that restriction, which is what this
-	// harness measures.
-	Serial bool
-	// NoRecorder disables the flight recorder — the recorder-overhead
-	// benchmark's before/after switch.
-	NoRecorder bool
-	// NoTracing disables the causal tracing layer — the trace-overhead
-	// benchmark's before/after switch.
-	NoTracing bool
-	// NoRuleMetrics disables the per-rule labeled metric families — the
-	// labeled-observability overhead benchmark's before/after switch.
-	NoRuleMetrics bool
-	// Seed drives stochastic fidelity noise.
-	Seed int64
+	// harness measures. The overhead benchmarks flip NoRecorder,
+	// NoTracing and NoRuleMetrics as their before/after switches.
+	System rabit.Options
 }
 
 // ThroughputResult is one measured configuration.
@@ -111,7 +101,7 @@ func throughputScript(device string, commands int) []action.Command {
 // Throughput replays Scripts concurrent command streams and measures
 // commands/sec. In serial mode all scripts funnel through one shared
 // interceptor (the seed architecture's only safe concurrent deployment;
-// see ThroughputOptions.Serial); in sharded mode each script gets its
+// see ThroughputOptions.System); in sharded mode each script gets its
 // own interceptor and the engine's per-device shards let disjoint
 // command cycles — paced execution included — overlap.
 func Throughput(o ThroughputOptions) (*ThroughputResult, error) {
@@ -121,16 +111,8 @@ func Throughput(o ThroughputOptions) (*ThroughputResult, error) {
 	if o.CommandsPerScript <= 0 {
 		o.CommandsPerScript = 40
 	}
-	s, err := NewSetup(throughputSpec(o.Scripts), Options{
-		Stage:          env.StageTestbed,
-		Rules:          rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexTime},
-		WithRABIT:      true,
-		SerialPipeline: o.Serial,
-		NoRecorder:     o.NoRecorder,
-		NoTracing:      o.NoTracing,
-		NoRuleMetrics:  o.NoRuleMetrics,
-		Seed:           o.Seed,
-	})
+	serial := o.System.SerialPipeline
+	s, err := rabit.New(throughputSpec(o.Scripts), o.System)
 	if err != nil {
 		return nil, fmt.Errorf("eval: throughput: %w", err)
 	}
@@ -143,7 +125,7 @@ func Throughput(o ThroughputOptions) (*ThroughputResult, error) {
 	interceptors := make([]*trace.Interceptor, o.Scripts)
 	for g := 0; g < o.Scripts; g++ {
 		scripts[g] = throughputScript(fmt.Sprintf("hp%02d", g), o.CommandsPerScript)
-		if o.Serial {
+		if serial {
 			interceptors[g] = s.Interceptor
 		} else {
 			interceptors[g] = trace.NewInterceptor(s.Engine, s.Env)
@@ -171,9 +153,9 @@ func Throughput(o ThroughputOptions) (*ThroughputResult, error) {
 	wall := time.Since(start)
 	// Each script's interceptor opened its own run trace; settle their
 	// tail-sampling decisions before the setup drains.
-	for g := 0; g < o.Scripts; g++ {
-		if !o.Serial {
-			interceptors[g].FinishTrace()
+	if !serial {
+		for _, ic := range interceptors {
+			ic.FinishTrace()
 		}
 	}
 	for _, err := range errs {
@@ -187,7 +169,7 @@ func Throughput(o ThroughputOptions) (*ThroughputResult, error) {
 
 	check, commands := s.Engine.CheckOverhead()
 	mode := "sharded"
-	if o.Serial {
+	if serial {
 		mode = "serial"
 	}
 	res := &ThroughputResult{

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	rabit "repro"
 	"repro/internal/action"
 	"repro/internal/geom"
 	"repro/internal/obs"
@@ -24,7 +25,7 @@ func TestAlertTraceEndToEnd(t *testing.T) {
 	traceFile := filepath.Join(dir, "traces.otlp.jsonl")
 	o := forensicsOptions(dir, "trace-e2e")
 	o.TraceFile = traceFile
-	s, err := NewTestbedSetup(o)
+	s, err := rabit.NewTestbed(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestAlertTraceEndToEnd(t *testing.T) {
 // interceptors — and checks the run stays alert-free and the tracer's
 // telemetry accounts for every script's run trace.
 func TestThroughputWithTracing(t *testing.T) {
-	res, err := Throughput(ThroughputOptions{Scripts: 8, CommandsPerScript: 24, Seed: 1})
+	res, err := Throughput(ThroughputOptions{Scripts: 8, CommandsPerScript: 24, System: rabit.Options{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +191,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			Scripts:           8,
 			CommandsPerScript: perScript,
 			Speedup:           speedup,
-			NoTracing:         noTracing,
-			Seed:              1,
+			System:            rabit.Options{NoTracing: noTracing, Seed: 1},
 		})
 		if err != nil {
 			b.Fatal(err)

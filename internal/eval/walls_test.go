@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	rabit "repro"
 	"repro/internal/geom"
 	"repro/internal/world"
 )
@@ -14,7 +15,7 @@ import (
 // the wall (a Medium-High event).
 func TestWallStrikeBlockedAndGroundTruth(t *testing.T) {
 	// Protected: blocked before execution.
-	s, err := NewTestbedSetup(DefaultOptions())
+	s, err := rabit.NewTestbed(rabit.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestWallStrikeBlockedAndGroundTruth(t *testing.T) {
 	}
 
 	// Unprotected ground truth.
-	u, err := NewTestbedSetup(Options{Stage: s.Opt.Stage, WithRABIT: false, Seed: 1})
+	u, err := rabit.NewTestbed(rabit.Options{Unprotected: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestWallStrikeBlockedAndGroundTruth(t *testing.T) {
 // TestWallHeldObjectCheck verifies the wall check has no false positives
 // for legitimate near-wall work.
 func TestWallHeldObjectCheck(t *testing.T) {
-	s, err := NewTestbedSetup(DefaultOptions())
+	s, err := rabit.NewTestbed(rabit.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	rabit "repro"
 	"repro/internal/bugs"
 	"repro/internal/core"
 	"repro/internal/device"
@@ -18,13 +19,14 @@ import (
 // RABIT: no alerts, no damage, and a chemically sensible result.
 func TestSolubilityWorkflowOnProduction(t *testing.T) {
 	for _, withRABIT := range []bool{true, false} {
-		o := Options{
-			Stage:     env.StageProduction,
-			Rules:     rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexNone},
-			WithRABIT: withRABIT,
-			Seed:      7,
+		o := rabit.Options{
+			Stage:       env.StageProduction,
+			Generation:  rules.GenModified,
+			Multiplex:   rules.MultiplexNone,
+			Unprotected: !withRABIT,
+			Seed:        7,
 		}
-		s, err := NewProductionSetup(o)
+		s, err := rabit.NewHeinProduction(o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +56,7 @@ func TestSolubilityWorkflowOnProduction(t *testing.T) {
 // TestSolubilityRejectsOverCapacityDose checks that the script's own
 // ad-hoc guard (Fig. 1b lines 10–11) still works alongside RABIT.
 func TestSolubilityRejectsOverCapacityDose(t *testing.T) {
-	s, err := NewProductionSetup(DefaultOptions())
+	s, err := rabit.NewHeinProduction(rabit.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,13 +72,13 @@ func TestSolubilityRejectsOverCapacityDose(t *testing.T) {
 // all its equipment, the declaratively-configured custom rule loads, and
 // the full spray-coating workflow runs cleanly.
 func TestBerlinguetteSprayWorkflow(t *testing.T) {
-	o := Options{
-		Stage:     env.StageProduction,
-		Rules:     rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexTime},
-		WithRABIT: true,
-		Seed:      3,
+	o := rabit.Options{
+		Stage:      env.StageProduction,
+		Generation: rules.GenModified,
+		Multiplex:  rules.MultiplexTime,
+		Seed:       3,
 	}
-	s, err := NewBerlinguetteSetup(o)
+	s, err := rabit.NewBerlinguette(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +100,11 @@ func TestBerlinguetteSprayWorkflow(t *testing.T) {
 // TestBerlinguetteCustomRuleBlocksEmptySpin checks the lab's declarative
 // custom rule: spinning the coater with no film loaded is blocked.
 func TestBerlinguetteCustomRuleBlocksEmptySpin(t *testing.T) {
-	s, err := NewBerlinguetteSetup(Options{
-		Stage:     env.StageProduction,
-		Rules:     rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexTime},
-		WithRABIT: true,
-		Seed:      3,
+	s, err := rabit.NewBerlinguette(rabit.Options{
+		Stage:      env.StageProduction,
+		Generation: rules.GenModified,
+		Multiplex:  rules.MultiplexTime,
+		Seed:       3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +131,7 @@ func TestBerlinguetteCustomRuleBlocksEmptySpin(t *testing.T) {
 // TestBerlinguetteDeviceCategorization asserts the Section V-B
 // categorization: every Berlinguette device maps into the four types.
 func TestBerlinguetteDeviceCategorization(t *testing.T) {
-	s, err := NewBerlinguetteSetup(Options{Stage: env.StageProduction, WithRABIT: false, Seed: 1})
+	s, err := rabit.NewBerlinguette(rabit.Options{Stage: env.StageProduction, Unprotected: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +160,7 @@ func TestBerlinguetteDeviceCategorization(t *testing.T) {
 // motor is dead acknowledges the open command but never moves; the
 // expected-vs-actual comparison raises "Device malfunction!".
 func TestMalfunctionDetection(t *testing.T) {
-	s, err := NewTestbedSetup(DefaultOptions())
+	s, err := rabit.NewTestbed(rabit.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +193,7 @@ func TestMalfunctionDetection(t *testing.T) {
 // container for a (pointless but valid) empty run, so a single command
 // exposes the fault.
 func TestActionStuckMalfunction(t *testing.T) {
-	s, err := NewTestbedSetup(DefaultOptions())
+	s, err := rabit.NewTestbed(rabit.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +220,11 @@ func TestActionStuckMalfunction(t *testing.T) {
 // rotor aligned) under the Table IV custom rules, with no alerts and no
 // damage.
 func TestScreeningWorkflowOnProduction(t *testing.T) {
-	s, err := NewProductionSetup(Options{
-		Stage:     env.StageProduction,
-		Rules:     rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexNone},
-		WithRABIT: true,
-		Seed:      9,
+	s, err := rabit.NewHeinProduction(rabit.Options{
+		Stage:      env.StageProduction,
+		Generation: rules.GenModified,
+		Multiplex:  rules.MultiplexNone,
+		Seed:       9,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -251,11 +253,11 @@ func TestScreeningWorkflowOnProduction(t *testing.T) {
 // centrifuge load violate custom rule 4 — the screening workflow is a
 // live consumer of the Table IV discipline.
 func TestScreeningBlockedWithoutCap(t *testing.T) {
-	s, err := NewProductionSetup(Options{
-		Stage:     env.StageProduction,
-		Rules:     rules.Config{Generation: rules.GenModified, Multiplex: rules.MultiplexNone},
-		WithRABIT: true,
-		Seed:      9,
+	s, err := rabit.NewHeinProduction(rabit.Options{
+		Stage:      env.StageProduction,
+		Generation: rules.GenModified,
+		Multiplex:  rules.MultiplexNone,
+		Seed:       9,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +278,7 @@ func TestScreeningBlockedWithoutCap(t *testing.T) {
 // recorded unsafe command before it can re-execute.
 func TestTraceReplayOfflineChecking(t *testing.T) {
 	// Record the safe workflow without RABIT.
-	rec, err := NewTestbedSetup(Options{Stage: env.StageTestbed, WithRABIT: false, Seed: 1})
+	rec, err := rabit.NewTestbed(rabit.Options{Stage: env.StageTestbed, Unprotected: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +288,7 @@ func TestTraceReplayOfflineChecking(t *testing.T) {
 	safeTrace := rec.Interceptor.Records()
 
 	// Replay under the modified RABIT on a fresh deck: clean.
-	chk, err := NewTestbedSetup(DefaultOptions())
+	chk, err := rabit.NewTestbed(rabit.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +301,7 @@ func TestTraceReplayOfflineChecking(t *testing.T) {
 
 	// Record Bug A's trace (the crash truncates it), replay protected:
 	// RABIT stops at the recorded door-entry command.
-	buggyRec, err := NewTestbedSetup(Options{Stage: env.StageTestbed, WithRABIT: false, Seed: 1})
+	buggyRec, err := rabit.NewTestbed(rabit.Options{Stage: env.StageTestbed, Unprotected: true, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +309,7 @@ func TestTraceReplayOfflineChecking(t *testing.T) {
 	_ = workflow.RunSteps(buggyRec.Session, b.Mutate(buggyRec.Session))
 	buggyTrace := buggyRec.Interceptor.Records()
 
-	chk2, err := NewTestbedSetup(DefaultOptions())
+	chk2, err := rabit.NewTestbed(rabit.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,11 +334,11 @@ func TestTraceReplayOfflineChecking(t *testing.T) {
 func TestFootnoteOneScenario(t *testing.T) {
 	steps := workflow.DeleteStep(workflow.ScreeningSteps(), "open-dd")
 
-	s, err := NewProductionSetup(Options{
-		Stage:     env.StageProduction,
-		Rules:     rules.Config{Generation: rules.GenInitial, Multiplex: rules.MultiplexNone},
-		WithRABIT: true,
-		Seed:      9,
+	s, err := rabit.NewHeinProduction(rabit.Options{
+		Stage:      env.StageProduction,
+		Generation: rules.GenInitial,
+		Multiplex:  rules.MultiplexNone,
+		Seed:       9,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -353,7 +355,7 @@ func TestFootnoteOneScenario(t *testing.T) {
 	}
 
 	// The unprotected counterfactual: the glass door breaks.
-	u, err := NewProductionSetup(Options{Stage: env.StageProduction, WithRABIT: false, Seed: 9})
+	u, err := rabit.NewHeinProduction(rabit.Options{Stage: env.StageProduction, Unprotected: true, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -517,6 +517,39 @@ func TestGatewayIdleEviction(t *testing.T) {
 
 // Unknown sessions, closed sessions, and bad specs fail with the right
 // statuses.
+// A command batch over the body cap is refused with 413 before any of
+// its commands reaches the session.
+func TestGatewayOversizedBatch(t *testing.T) {
+	_, srv := newTestGateway(t, Options{})
+	info := createSession(t, srv, CreateSessionRequest{Spec: rawSpec(t, fleetSpec("oversized", 1))})
+	sessionCommands := func() int {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/v1/sessions/" + info.SessionID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var si SessionInfo
+		if err := json.NewDecoder(resp.Body).Decode(&si); err != nil {
+			t.Fatal(err)
+		}
+		return si.Commands
+	}
+	before := sessionCommands()
+	cmd := action.Command{Device: "hp00", Action: action.ReadStatus}
+	one, _ := json.Marshal(cmd)
+	cmds := make([]action.Command, maxBodyBytes/len(one)+1)
+	for i := range cmds {
+		cmds[i] = cmd
+	}
+	if _, status := postBatch(t, srv, info.SessionID, cmds); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized batch: %d, want 413", status)
+	}
+	if after := sessionCommands(); after != before {
+		t.Fatalf("session commands %d → %d across a refused batch", before, after)
+	}
+}
+
 func TestGatewayErrorPaths(t *testing.T) {
 	_, srv := newTestGateway(t, Options{})
 

@@ -34,10 +34,32 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, ErrorBody{Error: err.Error()})
 }
 
+// maxBodyBytes caps every request body the gateway decodes. The largest
+// shipped lab spec is under 9 KB, so 1 MiB leaves ample room for inline
+// specs and long command batches while bounding what one request can
+// make the gateway buffer.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes a JSON request body of at most maxBodyBytes into v.
+// On failure it writes 413 for an oversized body or 400 for malformed
+// JSON, and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeErr(w, status, err)
+	return false
+}
+
 func (g *Gateway) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req CreateSessionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	id, lab, err := g.CreateSession(req.Lab, req.Spec)
@@ -95,8 +117,7 @@ func (g *Gateway) handleCommands(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var batch CommandBatch
-	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &batch) {
 		return
 	}
 	if !g.admitBatch() {

@@ -222,16 +222,6 @@ func (t *Tracer) StartTrace() TraceID {
 	return id
 }
 
-// AdoptTrace opens a trace under a remote caller's ID (e.g. parsed from
-// an inbound traceparent header), so local spans join the caller's
-// trace. A zero ID or nil tracer no-ops.
-func (t *Tracer) AdoptTrace(id TraceID) {
-	if t == nil || id.IsZero() {
-		return
-	}
-	t.adopt(id)
-}
-
 func (t *Tracer) adopt(id TraceID) {
 	t.mu.Lock()
 	if _, ok := t.active[id]; !ok {

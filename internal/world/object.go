@@ -46,11 +46,6 @@ const gripClearance = 0.01
 // not instantly scrape the rack it rested on.
 const liftEpsilon = 0.005
 
-// HangBelowTCP returns how far the object's bottom sits below the arm's
-// tool centre point when the object *rests* at a location addressed by
-// that TCP.
-func (o *Object) HangBelowTCP() float64 { return o.HeightM + gripClearance }
-
 // CarriedHang returns how far the object's bottom hangs below the TCP
 // while gripped — the dimension the paper's modified RABIT learned to add
 // to the arm's own geometry.

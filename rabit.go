@@ -106,9 +106,6 @@ type Options struct {
 	// IncidentTag is folded into bundle names and manifests — the eval
 	// harness tags each bug injection's bundles with the bug slug.
 	IncidentTag string
-	// RecorderDepth overrides the flight recorder's ring capacity
-	// (records; default recorder.DefaultDepth).
-	RecorderDepth int
 	// NoRecorder disables the flight recorder entirely. The recorder is
 	// otherwise always on: its steady-state cost is bounded ring writes
 	// (see BenchmarkRecorderOverhead).
@@ -286,10 +283,9 @@ func New(spec *config.LabSpec, o Options) (*System, error) {
 		}
 		if !o.NoRecorder {
 			sys.Recorder = recorder.New(recorder.Options{
-				Depth: o.RecorderDepth,
-				Dir:   o.IncidentDir,
-				Tag:   o.IncidentTag,
-				Obs:   reg,
+				Dir: o.IncidentDir,
+				Tag: o.IncidentTag,
+				Obs: reg,
 			})
 			engOpts = append(engOpts, core.WithRecorder(sys.Recorder))
 		}
