@@ -257,9 +257,12 @@ type Engine struct {
 
 	// Flight recorder (see record.go): rec is the black box, pendingRecs
 	// the open records of the in-flight global batch (guarded by mu, like
-	// pending).
+	// pending), views the index of the model's key set that records
+	// capture their pre-state views through (guarded by stateMu, like the
+	// model; nil without a recorder).
 	rec         *recorder.Recorder
 	pendingRecs []*recorder.Active
+	views       *recorder.ViewIndex
 
 	// Causal tracing & safety SLOs (see tracing.go): tracer resolves the
 	// (device, seq) → span bindings the interceptor published; slos feeds
@@ -359,6 +362,7 @@ func (e *Engine) Start() {
 	observed := e.env.FetchState()
 	e.stateMu.Lock()
 	e.model = e.seed.Merge(observed)
+	e.indexViews()
 	if e.spec != nil {
 		// The whole model was rebuilt; every cached verdict is suspect.
 		e.spec.BumpDeckEpoch()
@@ -575,8 +579,8 @@ func (e *Engine) beforeGlobal(cmd action.Command, start time.Time, fs **Alert) e
 	e.stateMu.RLock()
 	vs := e.rb.ValidateObserved(e.model, cmd, e.ruleMetrics, sc.trace)
 	if act != nil {
-		scope := recordScope(cmd, e.model.GetString(state.ContainerInside(cmd.Device)))
-		act.R.Pre = recorder.CaptureView(e.model, scope)
+		scope := recordScope(cmd, e.model.InsideOf(cmd.Device))
+		act.CapturePre(e.model, e.views, scope[:])
 	}
 	e.stateMu.RUnlock()
 	validateEnd := time.Now()
@@ -587,6 +591,7 @@ func (e *Engine) beforeGlobal(cmd action.Command, start time.Time, fs **Alert) e
 	e.stage(sc, obs.StageValidate, nil, start, validateEnd, al)
 	if al != nil {
 		e.recordAlert(act, al)
+		act.Release()
 		return al
 	}
 	if cmd.Action.IsRobotMotion() && e.sim != nil {
@@ -606,6 +611,7 @@ func (e *Engine) beforeGlobal(cmd action.Command, start time.Time, fs **Alert) e
 		e.stage(sc, obs.StageTrajectory, tspan, validateEnd, trajEnd, al)
 		if al != nil {
 			e.recordAlert(act, al)
+			act.Release()
 			return al
 		}
 	}
@@ -617,7 +623,7 @@ func (e *Engine) beforeGlobal(cmd action.Command, start time.Time, fs **Alert) e
 	}
 	e.stateMu.RUnlock()
 	if act != nil {
-		act.R.Expected = recorder.CaptureEdits(e.pending)
+		act.CaptureExpected(e.pending)
 		e.pendingRecs = append(e.pendingRecs, act)
 	}
 	return nil
@@ -638,8 +644,10 @@ func (e *Engine) afterGlobal(cmd action.Command, start time.Time, fs **Alert) er
 	e.cCommands.Inc()
 	pending := e.pending
 	e.pending = nil
+	// The batch's records settle below and their slots are cleared, so
+	// the list's backing array is reused by the next batch.
 	recs := e.pendingRecs
-	e.pendingRecs = nil
+	e.pendingRecs = recs[:0]
 	// The After belongs to one command of the batch; its batch-mates'
 	// records settle alongside it (see settleBatch).
 	var act *recorder.Active
@@ -665,20 +673,25 @@ func (e *Engine) afterGlobal(cmd action.Command, start time.Time, fs **Alert) er
 		expected = pending
 	}
 	ms := state.CompareObservedView(expected, observed)
-	if act != nil {
-		scope := recordScope(cmd, e.model.GetString(state.ContainerInside(cmd.Device)))
-		act.R.Observed = recorder.CaptureView(observed, scope)
-	}
 	compareEnd := time.Now()
+	var scope [6]string
+	if act != nil {
+		scope = recordScope(cmd, e.model.InsideOf(cmd.Device))
+	}
 	// S_current ← SetState(S_actual): observed facts win, dead-reckoned
 	// model facts persist. The pending overlay commits its edits into the
 	// live model in place — no full-map clone on the hot path — and any
 	// deck-relevant change bumps the simulator's epoch in the same
 	// critical section (see commitModel).
 	var epoch uint64
+	var views *recorder.ViewIndex
 	if len(ms) == 0 {
 		epoch = e.commitModel(pending, observed, cmd)
+		// The commit wrote every observed key into the model, so the
+		// model's view index covers the observed snapshot too.
+		views = e.views
 	}
+	act.CaptureObserved(observed, views, scope[:])
 	e.stateMu.Unlock()
 	e.stage(sc, obs.StageFetch, nil, start, fetchEnd, nil)
 	var al *Alert
@@ -688,19 +701,13 @@ func (e *Engine) afterGlobal(cmd action.Command, start time.Time, fs **Alert) er
 	e.stage(sc, obs.StageCompare, nil, fetchEnd, compareEnd, al)
 	if al != nil {
 		e.recordAlert(act, al)
-		by := ""
-		if act != nil {
-			by = act.R.Corr
-		}
-		e.settleBatch(recs, act, by)
+		e.settleBatch(recs, act)
 		return al
 	}
 	if act != nil {
 		act.R.Verdict.EpochAtCommit = epoch
 		act.Commit()
-		e.settleBatch(recs, act, act.R.Corr)
-	} else {
-		e.settleBatch(recs, nil, "")
 	}
+	e.settleBatch(recs, act)
 	return nil
 }

@@ -44,6 +44,10 @@ type shardTicket struct {
 	// stageCtx holds the command's flight record and trace binding,
 	// resolved once in Before and reused by After's stages.
 	stageCtx
+	// seq and corr identify the command and its flight record for corrOf,
+	// which must not read the record handle: it is recycled after release.
+	seq  int
+	corr recorder.CorrID
 }
 
 // routeSharded decides the pipeline for a command.
@@ -74,7 +78,7 @@ func (e *Engine) shardScope(cmd action.Command) []string {
 	add(cmd.FromContainer)
 	add(cmd.ToContainer)
 	e.stateMu.RLock()
-	inside := e.model.GetString(state.ContainerInside(cmd.Device))
+	inside := e.model.InsideOf(cmd.Device)
 	e.stateMu.RUnlock()
 	add(inside)
 	sort.Strings(ids)
@@ -136,6 +140,14 @@ func (e *Engine) releaseTicket(device string, t *shardTicket) {
 	for i := len(t.locks) - 1; i >= 0; i-- {
 		t.locks[i].Unlock()
 	}
+}
+
+// retireTicket releases a settled command's ticket, then recycles its
+// flight-record handle, which nothing can reach once the ticket is out
+// of the table.
+func (e *Engine) retireTicket(device string, t *shardTicket) {
+	e.releaseTicket(device, t)
+	t.rec.Release()
 }
 
 // lookupTicket finds the in-flight ticket for a device, if any.
@@ -228,15 +240,14 @@ func (e *Engine) beforeSharded(cmd action.Command, start time.Time, fs **Alert) 
 		return fmt.Errorf("%w: %s", ErrStopped, stopped.Error())
 	}
 	t.stageCtx = e.traceOf(cmd, e.beginRecord(cmd, recorder.PathSharded))
+	t.seq, t.corr = cmd.Seq, t.rec.Corr()
 	e.stateMu.RLock()
 	vs := e.rb.ValidateObserved(e.model, cmd, e.ruleMetrics, t.trace)
 	if len(vs) == 0 {
 		t.expected = e.rb.ExpectedOverlay(e.model, cmd)
 	}
-	if t.rec != nil {
-		// The ticket's scope IS the read scope the rules validated over.
-		t.rec.R.Pre = recorder.CaptureView(e.model, t.scope)
-	}
+	// The ticket's scope IS the read scope the rules validated over.
+	t.rec.CapturePre(e.model, e.views, t.scope)
 	e.stateMu.RUnlock()
 	validateEnd := time.Now()
 	var al *Alert
@@ -247,11 +258,10 @@ func (e *Engine) beforeSharded(cmd action.Command, start time.Time, fs **Alert) 
 	e.stage(t.stageCtx, obs.StageValidate, nil, start, validateEnd, al)
 	if al != nil {
 		e.recordAlert(t.rec, al)
+		t.rec.Release() // the ticket is already released
 		return al
 	}
-	if t.rec != nil {
-		t.rec.R.Expected = recorder.CaptureEdits(t.expected)
-	}
+	t.rec.CaptureExpected(t.expected)
 	return nil
 }
 
@@ -264,7 +274,7 @@ func (e *Engine) afterSharded(cmd action.Command, start time.Time, fs **Alert) e
 		// restarted mid-cycle); fall back to the global settle.
 		return e.afterGlobal(cmd, start, fs)
 	}
-	defer e.releaseTicket(cmd.Device, t)
+	defer e.retireTicket(cmd.Device, t)
 	if _, stopped := e.adminState(); stopped != nil {
 		return fmt.Errorf("%w: %s", ErrStopped, stopped.Error())
 	}
@@ -275,9 +285,7 @@ func (e *Engine) afterSharded(cmd action.Command, start time.Time, fs **Alert) e
 	ms := state.CompareObservedView(t.expected, observed)
 	e.stateMu.RUnlock()
 	compareEnd := time.Now()
-	if t.rec != nil {
-		t.rec.R.Observed = recorder.CaptureView(observed, t.scope)
-	}
+	t.rec.CaptureObserved(observed, nil, t.scope)
 	e.stage(t.stageCtx, obs.StageFetch, nil, start, fetchEnd, nil)
 	var al *Alert
 	if len(ms) > 0 {

@@ -54,6 +54,7 @@ func WithSpeculation(on bool) Option {
 func (e *Engine) commitModel(pending *state.Overlay, observed state.Snapshot, cmd action.Command) uint64 {
 	deckChanged := false
 	detect := e.spec != nil
+	keys := len(e.model)
 	if pending != nil {
 		if detect {
 			deckChanged = overlayChangesDeck(pending, e.model)
@@ -67,6 +68,11 @@ func (e *Engine) commitModel(pending *state.Overlay, observed state.Snapshot, cm
 			}
 		}
 		e.model[k] = v
+	}
+	// Without deletes a commit can only add keys, so an unchanged length
+	// means an unchanged key set and a still-exact view index.
+	if e.views != nil && (len(e.model) != keys || (pending != nil && pending.HasDeletes())) {
+		e.syncViews(pending, observed)
 	}
 	if deckChanged {
 		e.spec.BumpDeckEpoch()
@@ -151,7 +157,7 @@ func (e *Engine) Hint(cur, next action.Command) {
 		sspan.SetIntAttr("seq", next.Seq)
 		corr := ""
 		if spec != nil {
-			corr = spec.R.Corr
+			corr = spec.Corr().String()
 			if tctx.Valid() {
 				spec.R.Trace = tctx.Trace.String()
 			}
@@ -171,6 +177,7 @@ func (e *Engine) Hint(cur, next action.Command) {
 				spec.R.Outcome = "skipped"
 			}
 			spec.Commit()
+			spec.Release()
 		}
 	}()
 }

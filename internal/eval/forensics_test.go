@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -369,18 +370,21 @@ func TestRecorderObserverEffect(t *testing.T) {
 	}
 }
 
-// BenchmarkRecorderOverhead measures the flight recorder's cost on the
-// sharded replay-throughput benchmark in the deployment configuration
-// CI tracks (paced replay, Speedup 200): paired runs with the recorder
-// on and off. The acceptance bar is < 2% throughput overhead there. The
-// unpaced per-command check-cost delta — the recorder's raw cost with
-// no device time to hide in — is reported alongside as a stress metric.
+// BenchmarkRecorderOverhead measures the flight recorder's cost two
+// ways. overhead-% is the deployment figure: throughput lost on the
+// paced sharded replay CI tracks (Speedup 200), where device time
+// dilutes the check — the < 2% that DESIGN.md quotes. check-delta-% is
+// the recorder's raw cost with no device time to hide in: one script's
+// unpaced testbed door cycle, run as recorderPairs interleaved
+// recorder-off/on pairs (the order alternates per pair to cancel
+// drift), reported as the median paired check-cost delta over the
+// median recorder-off check. CI gates check-delta-%.
 func BenchmarkRecorderOverhead(b *testing.B) {
-	run := func(noRecorder bool, speedup float64, perScript int) *ThroughputResult {
+	run := func(noRecorder bool) *ThroughputResult {
 		res, err := Throughput(ThroughputOptions{
 			Scripts:           8,
-			CommandsPerScript: perScript,
-			Speedup:           speedup,
+			CommandsPerScript: 40,
+			Speedup:           200,
 			System:            rabit.Options{NoRecorder: noRecorder, Seed: 1},
 		})
 		if err != nil {
@@ -388,22 +392,75 @@ func BenchmarkRecorderOverhead(b *testing.B) {
 		}
 		return res
 	}
-	run(true, 200, 40) // warm up
+	run(true) // warm up
 	var on, off float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		off += run(true, 200, 40).CommandsPerSec
-		on += run(false, 200, 40).CommandsPerSec
+		off += run(true).CommandsPerSec
+		on += run(false).CommandsPerSec
 	}
 	b.StopTimer()
 	if off > 0 {
 		b.ReportMetric(100*(off-on)/off, "overhead-%")
 	}
-	var onCheck, offCheck time.Duration
-	const checkPairs = 3
-	for i := 0; i < checkPairs; i++ {
-		offCheck += run(true, 0, 200).CheckPerCommand
-		onCheck += run(false, 0, 200).CheckPerCommand
+	deltas := make([]float64, recorderPairs)
+	offs := make([]float64, recorderPairs)
+	for k := range deltas {
+		var onNS, offNS float64
+		if k%2 == 0 {
+			offNS = doorCycleCheck(b, true)
+			onNS = doorCycleCheck(b, false)
+		} else {
+			onNS = doorCycleCheck(b, false)
+			offNS = doorCycleCheck(b, true)
+		}
+		deltas[k], offs[k] = onNS-offNS, offNS
 	}
-	b.ReportMetric(float64(onCheck-offCheck)/checkPairs, "check-delta-ns/cmd")
+	delta, base := median(deltas), median(offs)
+	b.ReportMetric(delta, "check-delta-ns/cmd")
+	b.ReportMetric(100*delta/base, "check-delta-%")
+}
+
+// recorderPairs is how many interleaved recorder-off/on pairs the
+// recorder gate measures.
+const recorderPairs = 10
+
+// doorCycleCheck runs one script's testbed door cycle (dosing_device
+// open, close) unpaced through a fresh System's interceptor and returns
+// the engine's mean check cost per command (Before + After), in ns.
+func doorCycleCheck(b *testing.B, noRecorder bool) float64 {
+	const warm, cycles = 500, 2000
+	sys, err := rabit.NewTestbed(rabit.Options{NoRecorder: noRecorder, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sys.Close()
+	door := []action.Command{
+		{Device: "dosing_device", Action: action.OpenDoor},
+		{Device: "dosing_device", Action: action.CloseDoor},
+	}
+	var check0 time.Duration
+	var cmds0 int
+	for i := 0; i < warm+cycles; i++ {
+		if i == warm {
+			check0, cmds0 = sys.Engine.CheckOverhead()
+		}
+		for _, cmd := range door {
+			if err := sys.Interceptor.Do(cmd); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	check, cmds := sys.Engine.CheckOverhead()
+	return float64(check-check0) / float64(cmds-cmds0)
+}
+
+// median returns the median of xs, reordering them.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }

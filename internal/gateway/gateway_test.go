@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -578,5 +579,48 @@ func TestGatewayErrorPaths(t *testing.T) {
 	}
 	if _, status := postBatch(t, srv, info.SessionID, nil); status != http.StatusNotFound {
 		t.Fatalf("batch on closed session: %d, want 404", status)
+	}
+}
+
+// A session keeps a command count, not a command log: its heap stays
+// flat however many commands it serves. 10⁵ commands through one
+// session's interceptor would retain ~12 MB of packed trace entries if
+// the session logged them.
+func TestGatewaySessionHeapStaysFlat(t *testing.T) {
+	gw, _ := newTestGateway(t, Options{ConfigureSystem: func(_ string, sys *rabit.System) {
+		sys.Env.SetPacing(0)
+	}})
+	id, _, err := gw.CreateSession("", rawSpec(t, fleetSpec("heap-flat", 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := gw.lookup(id)
+	cmds := []action.Command{
+		{Device: "hp00", Action: action.SetActionValue, Value: 50},
+		{Device: "hp00", Action: action.ReadStatus},
+	}
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := s.ic.Do(cmds[i%len(cmds)]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	const warm, n = 10_000, 100_000
+	run(warm) // fill the flight recorder's ring and every lazy instrument
+	before := heap()
+	run(n)
+	after := heap()
+	if grew := int64(after) - int64(before); grew > 2<<20 {
+		t.Fatalf("session heap grew %d KB over %d commands", grew>>10, n)
+	}
+	if got := s.ic.Len(); got != warm+n {
+		t.Fatalf("session counts %d commands, want %d", got, warm+n)
 	}
 }

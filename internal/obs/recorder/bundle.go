@@ -61,6 +61,7 @@ func (r *Recorder) writeBundle(trigger Record) {
 	if r.dir == "" {
 		return
 	}
+	trigger.render()
 	window := r.Window()
 	man := Manifest{
 		Schema:    ManifestSchema,
@@ -127,14 +128,14 @@ func (r *Recorder) FileSnapshot(alertKind, detail string, tNS int64) {
 		return
 	}
 	trigger := Record{
-		Corr:      corrID("c", r.corr.Add(1)),
+		corr:      CorrID{n: r.corr.Add(1)},
 		Kind:      KindSnapshot,
 		AlertKind: alertKind,
 		Alert:     detail,
 		TNS:       tNS,
 		AlertTNS:  tNS,
 	}
-	r.push(trigger)
+	r.push(&trigger)
 	r.writeBundle(trigger)
 }
 

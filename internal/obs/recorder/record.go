@@ -1,8 +1,9 @@
 package recorder
 
 import (
-	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/action"
@@ -74,14 +75,19 @@ type Spans struct {
 }
 
 // Record is one flight-recorder entry — the black box's unit of capture.
-// State views are rendered to bounded string maps at capture time so a
-// record can never retain (or observe mutations of) live engine state.
+// A live record keeps raw facts: its correlation ID as a number, its
+// command unrendered, and its state views as (key, value, present)
+// entries copied out of the model under the lock the check holds. Keys
+// and values are immutable, so a record can never observe mutations of
+// live engine state. Corr, Cmd and the view maps are rendered only when
+// a window is read (Window, incident bundles).
 type Record struct {
 	// Ord is the recorder-global insertion order (1-based).
 	Ord uint64 `json:"ord"`
 	// Corr is the record's correlation ID: "c-…" for commands, "s-…" for
-	// speculations.
+	// speculations. Live records carry it as corr and render it lazily.
 	Corr string `json:"corr"`
+	corr CorrID
 	// Parent links a speculation to the command whose execution window
 	// it overlapped (the Hint caller).
 	Parent string `json:"parent,omitempty"`
@@ -114,6 +120,9 @@ type Record struct {
 	Expected map[string]string `json:"expected,omitempty"`
 	// Observed is the post-execution fetch, scoped like Pre.
 	Observed map[string]string `json:"observed,omitempty"`
+	// pre, expected and observed are the captured facts behind the three
+	// view maps (see Active.CapturePre and friends).
+	pre, expected, observed []fact
 
 	Verdict Verdict `json:"verdict"`
 	Spans   Spans   `json:"spans"`
@@ -136,17 +145,50 @@ type Record struct {
 	Mismatches []string `json:"mismatches,omitempty"`
 }
 
-// render materializes Cmd from the stored raw command. Only called on
-// snapshot copies — live ring slots keep the cheap unrendered form.
+// render materializes Corr, Cmd and the view maps from the stored raw
+// facts, and gives the record its own copy of Rules. Only called on
+// snapshot copies — live ring slots keep the cheap unrendered form and
+// reuse their backing arrays — so a rendered record shares no mutable
+// storage with the ring.
 func (rec *Record) render() {
+	if rec.Corr == "" {
+		rec.Corr = rec.corr.String()
+	}
 	if rec.Cmd == "" && rec.hasCmd {
 		rec.Cmd = rec.cmd.String()
 	}
+	if len(rec.Rules) > 0 {
+		rec.Rules = append([]string(nil), rec.Rules...)
+	} else {
+		rec.Rules = nil
+	}
+	rec.Pre, rec.pre = renderFacts(rec.Pre, rec.pre), nil
+	rec.Expected, rec.expected = renderFacts(rec.Expected, rec.expected), nil
+	rec.Observed, rec.observed = renderFacts(rec.Observed, rec.observed), nil
 }
 
-// corrID renders a correlation ID.
-func corrID(prefix string, n uint64) string {
-	return fmt.Sprintf("%s-%06d", prefix, n)
+// CorrID is a correlation ID kept as its number until it is read: String
+// renders "c-000042" for a command (or snapshot) and "s-000042" for a
+// speculation. The zero CorrID renders "".
+type CorrID struct {
+	n    uint64
+	spec bool
+}
+
+// String renders the ID as prefix-%06d, without fmt.
+func (c CorrID) String() string {
+	if c.n == 0 {
+		return ""
+	}
+	prefix := "c-"
+	if c.spec {
+		prefix = "s-"
+	}
+	d := strconv.FormatUint(c.n, 10)
+	if len(d) < 6 {
+		d = "000000"[len(d):] + d
+	}
+	return prefix + d
 }
 
 // sortRecords orders a window by global insertion order.
@@ -159,74 +201,187 @@ func sortRecords(recs []Record) {
 const ViewLimit = 64
 
 // argMatches reports whether any bracketed argument of k equals one of
-// the ids, without the allocation Key.Args pays — this runs once per
-// model key per captured view, the recorder's hottest loop.
+// the (non-empty) ids, without the allocation Key.Args pays — this runs
+// once per model key per captured view, the recorder's hottest loop.
 func argMatches(k state.Key, ids []string) bool {
-	s := string(k)
-	for {
-		i := strings.IndexByte(s, '[')
-		if i < 0 {
-			return false
-		}
-		s = s[i+1:]
-		j := strings.IndexByte(s, ']')
-		if j < 0 {
-			return false
-		}
-		arg := s[:j]
+	for arg, rest, ok := nextArg(string(k)); ok; arg, rest, ok = nextArg(rest) {
 		for _, id := range ids {
-			if id != "" && id == arg {
+			if id == arg {
 				return true
 			}
 		}
-		s = s[j+1:]
+	}
+	return false
+}
+
+// nextArg splits the first bracketed argument off a key's text.
+func nextArg(s string) (arg, rest string, ok bool) {
+	i := strings.IndexByte(s, '[')
+	if i < 0 {
+		return "", "", false
+	}
+	s = s[i+1:]
+	j := strings.IndexByte(s, ']')
+	if j < 0 {
+		return "", "", false
+	}
+	return s[:j], s[j+1:], true
+}
+
+// fact is one captured state fact: a key and its value, or — present
+// false — the key's deletion (expectation edits only).
+type fact struct {
+	k       state.Key
+	v       state.Value
+	present bool
+}
+
+// ViewIndex lists, for a snapshot's key set, the keys a captured view
+// holds for each ID — every non-exogenous key with a bracketed argument
+// equal to it — and the exogenous sensor keys every view holds. With an
+// index, a view costs a lookup per listed key instead of a scan of the
+// whole snapshot. Values may change freely; the owner keeps the index
+// exact by calling Add and Remove as keys enter and leave the snapshot,
+// under the lock that guards both.
+type ViewIndex struct {
+	byID map[string][]state.Key
+	exo  []state.Key
+	has  map[state.Key]bool
+}
+
+// NewViewIndex indexes a snapshot's keys.
+func NewViewIndex(s state.Snapshot) *ViewIndex {
+	ix := &ViewIndex{byID: make(map[string][]state.Key), has: make(map[state.Key]bool, len(s))}
+	for k := range s {
+		ix.Add(k)
+	}
+	return ix
+}
+
+// Add lists a key, unless it is listed already.
+func (ix *ViewIndex) Add(k state.Key) {
+	if ix.has[k] {
+		return
+	}
+	ix.has[k] = true
+	if k.IsExogenous() {
+		ix.exo = append(ix.exo, k)
+		return
+	}
+	for arg, rest, ok := nextArg(string(k)); ok; arg, rest, ok = nextArg(rest) {
+		// A key naming the same ID twice is listed once.
+		if keys := ix.byID[arg]; len(keys) == 0 || keys[len(keys)-1] != k {
+			ix.byID[arg] = append(keys, k)
+		}
 	}
 }
 
-// CaptureView renders the slice of a state view owned by the given IDs
-// — plus exogenous sensor keys, which every path reads — as a bounded
-// string map. The caller must hold whatever lock makes v stable.
-func CaptureView(v state.View, ids []string) map[string]string {
-	if v == nil {
-		return nil
+// Remove unlists a key, if it is listed.
+func (ix *ViewIndex) Remove(k state.Key) {
+	if !ix.has[k] {
+		return
 	}
-	var out map[string]string
-	v.Range(func(k state.Key, val state.Value) bool {
-		if len(out) >= ViewLimit {
-			return false
-		}
-		if !k.IsExogenous() && !argMatches(k, ids) {
-			return true
-		}
-		if out == nil {
-			out = make(map[string]string, 8)
-		}
-		out[string(k)] = val.String()
-		return true
-	})
-	return out
+	delete(ix.has, k)
+	if k.IsExogenous() {
+		ix.exo = without(ix.exo, k)
+		return
+	}
+	for arg, rest, ok := nextArg(string(k)); ok; arg, rest, ok = nextArg(rest) {
+		ix.byID[arg] = without(ix.byID[arg], k)
+	}
 }
 
-// CaptureEdits renders an expectation overlay's accumulated edits.
-// Deletes render as "∅". Nil-safe.
-func CaptureEdits(o *state.Overlay) map[string]string {
+// without deletes k from keys, in place.
+func without(keys []state.Key, k state.Key) []state.Key {
+	if i := slices.Index(keys, k); i >= 0 {
+		return slices.Delete(keys, i, i+1)
+	}
+	return keys
+}
+
+// appendView appends to dst (reset to empty) the slice of a snapshot
+// owned by the given IDs — plus exogenous sensor keys, which every path
+// reads — bounded by ViewLimit. Without an index it scans s; with one
+// (over a key set containing every key of s) it looks up the exogenous
+// keys, then each ID's keys, skipping a key an earlier ID already
+// contributed. The caller holds whatever lock makes s and ix stable.
+func appendView(dst []fact, s state.Snapshot, ix *ViewIndex, ids []string) []fact {
+	dst = dst[:0]
+	// Drop the empty IDs once (scopes name optional command fields), so
+	// the per-key loops compare only real ones.
+	var buf [8]string
+	live := buf[:0]
+	for _, id := range ids {
+		if id != "" {
+			live = append(live, id)
+		}
+	}
+	if ix == nil {
+		for k, v := range s {
+			if len(dst) >= ViewLimit {
+				break
+			}
+			if argMatches(k, live) || k.IsExogenous() {
+				dst = append(dst, fact{k: k, v: v, present: true})
+			}
+		}
+		return dst
+	}
+	for _, k := range ix.exo {
+		if len(dst) >= ViewLimit {
+			return dst
+		}
+		if v, ok := s[k]; ok {
+			dst = append(dst, fact{k: k, v: v, present: true})
+		}
+	}
+	for n, id := range live {
+		for _, k := range ix.byID[id] {
+			if argMatches(k, live[:n]) {
+				continue
+			}
+			if len(dst) >= ViewLimit {
+				return dst
+			}
+			if v, ok := s[k]; ok {
+				dst = append(dst, fact{k: k, v: v, present: true})
+			}
+		}
+	}
+	return dst
+}
+
+// appendEdits appends to dst (reset to empty) an expectation overlay's
+// accumulated edits, bottom layer first, so a later edit of the same
+// key renders over an earlier one. Nil-safe on o.
+func appendEdits(dst []fact, o *state.Overlay) []fact {
+	dst = dst[:0]
 	if o == nil {
-		return nil
+		return dst
 	}
-	out := make(map[string]string)
 	o.RangeEdits(func(k state.Key, v state.Value, present bool) bool {
-		if len(out) >= ViewLimit {
+		if len(dst) >= ViewLimit {
 			return false
 		}
-		if present {
-			out[string(k)] = v.String()
-		} else {
-			out[string(k)] = "∅"
-		}
+		dst = append(dst, fact{k: k, v: v, present: present})
 		return true
 	})
-	if len(out) == 0 {
-		return nil
+	return dst
+}
+
+// renderFacts materializes captured facts as the view's string map;
+// deletes render as "∅". With no facts it returns m unchanged.
+func renderFacts(m map[string]string, facts []fact) map[string]string {
+	if len(facts) == 0 {
+		return m
 	}
-	return out
+	m = make(map[string]string, len(facts))
+	for _, f := range facts {
+		if f.present {
+			m[string(f.k)] = f.v.String()
+		} else {
+			m[string(f.k)] = "∅"
+		}
+	}
+	return m
 }

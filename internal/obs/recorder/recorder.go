@@ -12,16 +12,19 @@
 // nil-safe, records are captured into preallocated ring slots guarded by
 // per-shard mutexes keyed on device, and nothing in it can change a
 // verdict — the eval harness's recorder-on/off property test holds it to
-// that.
+// that. The capture path stores raw facts and allocates nothing: record
+// handles are pooled, their capture buffers reused, and each ring slot
+// owns the backing arrays its views are copied into. Rendering to text
+// happens only when a window is read.
 package recorder
 
 import (
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/action"
 	"repro/internal/obs"
+	"repro/internal/state"
 )
 
 // DefaultDepth is the ring's total capacity when Options.Depth is unset:
@@ -79,6 +82,9 @@ type Recorder struct {
 	cRecords   *obs.Counter
 	cIncidents *obs.Counter
 	cErrors    *obs.Counter
+
+	// handles recycles Active handles together with their capture buffers.
+	handles sync.Pool
 }
 
 // New builds a recorder with preallocated ring storage.
@@ -171,29 +177,39 @@ func (r *Recorder) fail(err error) {
 }
 
 // Active is one record under construction. The owning pipeline goroutine
-// fills R freely until Commit/CommitIncident copies it into the ring;
-// after that the handle must not be touched again.
+// fills R freely — views through the Capture methods — until
+// Commit/CommitIncident copies it into the ring. The handle stays
+// readable until Release hands it, and its capture buffers, back for
+// reuse; after that it must not be touched again.
 type Active struct {
 	rec *Recorder
 	R   Record
 }
 
+// handle takes a recycled handle, or a new one, with R zeroed but its
+// capture buffers kept.
+func (r *Recorder) handle() *Active {
+	if a, ok := r.handles.Get().(*Active); ok {
+		return a
+	}
+	return &Active{rec: r}
+}
+
 // Begin opens a command record with a fresh correlation ID. Nil-safe
-// (returns nil, and a nil *Active tolerates Commit/CommitIncident).
+// (returns nil, and a nil *Active tolerates every method).
 func (r *Recorder) Begin(cmd action.Command, path string) *Active {
 	if r == nil {
 		return nil
 	}
-	return &Active{rec: r, R: Record{
-		Corr:   corrID("c", r.corr.Add(1)),
-		Kind:   KindCommand,
-		Path:   path,
-		Seq:    cmd.Seq,
-		Device: cmd.Device,
-		Action: string(cmd.Action),
-		cmd:    cmd,
-		hasCmd: true,
-	}}
+	a := r.handle()
+	a.R.corr = CorrID{n: r.corr.Add(1)}
+	a.R.Kind = KindCommand
+	a.R.Path = path
+	a.R.Seq = cmd.Seq
+	a.R.Device = cmd.Device
+	a.R.Action = string(cmd.Action)
+	a.R.cmd, a.R.hasCmd = cmd, true
+	return a
 }
 
 // BeginSpec opens a speculation record linked to the command whose
@@ -203,16 +219,49 @@ func (r *Recorder) BeginSpec(parent string, next action.Command) *Active {
 	if r == nil {
 		return nil
 	}
-	return &Active{rec: r, R: Record{
-		Corr:   corrID("s", r.corr.Add(1)),
-		Parent: parent,
-		Kind:   KindSpeculation,
-		Path:   PathSpeculative,
-		Device: next.Device,
-		Action: string(next.Action),
-		cmd:    next,
-		hasCmd: true,
-	}}
+	a := r.handle()
+	a.R.corr = CorrID{n: r.corr.Add(1), spec: true}
+	a.R.Parent = parent
+	a.R.Kind = KindSpeculation
+	a.R.Path = PathSpeculative
+	a.R.Device = next.Device
+	a.R.Action = string(next.Action)
+	a.R.cmd, a.R.hasCmd = next, true
+	return a
+}
+
+// Corr returns the record's correlation ID. Nil-safe (the zero ID).
+func (a *Active) Corr() CorrID {
+	if a == nil {
+		return CorrID{}
+	}
+	return a.R.corr
+}
+
+// CapturePre captures the read-scoped model view the rules validate
+// against: the keys of s owned by ids, plus exogenous sensor keys. ix,
+// when non-nil, must index a key set that contains every key of s; it
+// spares the scan of s (keys it lists that s lacks are skipped). The
+// caller holds the lock that makes s (and ix) stable. Nil-safe.
+func (a *Active) CapturePre(s state.Snapshot, ix *ViewIndex, ids []string) {
+	if a != nil {
+		a.R.pre = appendView(a.R.pre, s, ix, ids)
+	}
+}
+
+// CaptureExpected captures the S_expected overlay's edits. Nil-safe.
+func (a *Active) CaptureExpected(o *state.Overlay) {
+	if a != nil {
+		a.R.expected = appendEdits(a.R.expected, o)
+	}
+}
+
+// CaptureObserved captures the post-execution fetch, scoped and indexed
+// like CapturePre. Nil-safe.
+func (a *Active) CaptureObserved(s state.Snapshot, ix *ViewIndex, ids []string) {
+	if a != nil {
+		a.R.observed = appendView(a.R.observed, s, ix, ids)
+	}
 }
 
 // Commit pushes the finished record into the ring. Nil-safe.
@@ -220,7 +269,7 @@ func (a *Active) Commit() {
 	if a == nil {
 		return
 	}
-	a.rec.push(a.R)
+	a.rec.push(&a.R)
 }
 
 // CommitIncident pushes the finished record — an alert trigger — and
@@ -230,17 +279,36 @@ func (a *Active) CommitIncident() {
 	if a == nil {
 		return
 	}
-	a.rec.push(a.R)
+	a.rec.push(&a.R)
 	a.rec.writeBundle(a.R)
 }
 
+// Release recycles the handle and its capture buffers. The caller must
+// guarantee nothing reads the handle afterwards. Nil-safe.
+func (a *Active) Release() {
+	if a == nil {
+		return
+	}
+	a.R = Record{Rules: a.R.Rules[:0], pre: a.R.pre[:0], expected: a.R.expected[:0], observed: a.R.observed[:0]}
+	a.rec.handles.Put(a)
+}
+
 // push copies a record into its device's shard, stamping the global
-// insertion order.
-func (r *Recorder) push(rec Record) {
-	rec.Ord = r.ord.Add(1)
-	sh := &r.shards[r.shardOf(rec.Device)]
+// insertion order. The slot keeps its own Rules and view backing arrays
+// and copies the record's entries into them, so the record's buffers
+// are free for reuse as soon as push returns.
+func (r *Recorder) push(rec *Record) {
+	ord := r.ord.Add(1)
+	sh := &r.shards[shardOf(rec.Device)]
 	sh.mu.Lock()
-	sh.buf[sh.next] = rec
+	slot := &sh.buf[sh.next]
+	rules, pre, exp, obsd := slot.Rules[:0], slot.pre[:0], slot.expected[:0], slot.observed[:0]
+	*slot = *rec
+	slot.Ord = ord
+	slot.Rules = append(rules, rec.Rules...)
+	slot.pre = append(pre, rec.pre...)
+	slot.expected = append(exp, rec.expected...)
+	slot.observed = append(obsd, rec.observed...)
 	sh.next = (sh.next + 1) % len(sh.buf)
 	if sh.n < len(sh.buf) {
 		sh.n++
@@ -249,10 +317,16 @@ func (r *Recorder) push(rec Record) {
 	r.cRecords.Inc()
 }
 
-func (r *Recorder) shardOf(device string) int {
-	h := fnv.New32a()
-	h.Write([]byte(device))
-	return int(h.Sum32() % numShards)
+// shardOf maps a device onto its ring shard by the 32-bit FNV-1a hash of
+// its name, computed inline so the hot path neither allocates a hasher
+// nor converts the name to bytes.
+func shardOf(device string) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(device); i++ {
+		h ^= uint32(device[i])
+		h *= 16777619
+	}
+	return int(h % numShards)
 }
 
 // Annotate back-fills the most recent ring record for (device, seq) with
@@ -263,7 +337,7 @@ func (r *Recorder) Annotate(device string, seq int, outcome string, execNS int64
 	if r == nil {
 		return
 	}
-	sh := &r.shards[r.shardOf(device)]
+	sh := &r.shards[shardOf(device)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	n := len(sh.buf)
@@ -278,9 +352,10 @@ func (r *Recorder) Annotate(device string, seq int, outcome string, execNS int64
 }
 
 // Window snapshots the full ring, oldest first (global insertion order),
-// materializing the lazily rendered command strings on the copies. The
-// returned records share their maps/slices with the ring, which is safe:
-// committed records are only ever scalar-annotated. Nil-safe.
+// rendering each copy under its shard's lock: correlation ID, command
+// string and view maps are materialized from the raw facts, and Rules is
+// copied, so the returned records keep their views after the ring wraps
+// and reuses the slots' arrays. Nil-safe.
 func (r *Recorder) Window() []Record {
 	if r == nil {
 		return nil
@@ -292,11 +367,9 @@ func (r *Recorder) Window() []Record {
 		n := len(sh.buf)
 		for k := 0; k < sh.n; k++ {
 			out = append(out, sh.buf[((sh.next-sh.n+k)%n+n)%n])
+			out[len(out)-1].render()
 		}
 		sh.mu.Unlock()
-	}
-	for i := range out {
-		out[i].render()
 	}
 	sortRecords(out)
 	return out

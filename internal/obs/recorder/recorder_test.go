@@ -17,18 +17,18 @@ func TestCorrIDsAreUniqueAndPrefixed(t *testing.T) {
 	r := New(Options{})
 	a := r.Begin(cmd("hp00", 1), PathGlobal)
 	b := r.Begin(cmd("hp00", 2), PathSharded)
-	s := r.BeginSpec(a.R.Corr, cmd("hp00", 3))
-	if !strings.HasPrefix(a.R.Corr, "c-") || !strings.HasPrefix(b.R.Corr, "c-") {
-		t.Fatalf("command corr IDs: %q, %q", a.R.Corr, b.R.Corr)
+	s := r.BeginSpec(a.Corr().String(), cmd("hp00", 3))
+	if !strings.HasPrefix(a.Corr().String(), "c-") || !strings.HasPrefix(b.Corr().String(), "c-") {
+		t.Fatalf("command corr IDs: %q, %q", a.Corr().String(), b.Corr().String())
 	}
-	if !strings.HasPrefix(s.R.Corr, "s-") {
-		t.Fatalf("speculation corr ID: %q", s.R.Corr)
+	if !strings.HasPrefix(s.Corr().String(), "s-") {
+		t.Fatalf("speculation corr ID: %q", s.Corr().String())
 	}
-	if a.R.Corr == b.R.Corr || a.R.Corr == s.R.Corr {
-		t.Fatalf("correlation IDs collide: %q %q %q", a.R.Corr, b.R.Corr, s.R.Corr)
+	if a.Corr().String() == b.Corr().String() || a.Corr().String() == s.Corr().String() {
+		t.Fatalf("correlation IDs collide: %q %q %q", a.Corr().String(), b.Corr().String(), s.Corr().String())
 	}
-	if s.R.Parent != a.R.Corr {
-		t.Fatalf("spec parent = %q, want %q", s.R.Parent, a.R.Corr)
+	if s.R.Parent != a.Corr().String() {
+		t.Fatalf("spec parent = %q, want %q", s.R.Parent, a.Corr().String())
 	}
 }
 
@@ -121,7 +121,7 @@ func TestBundleRoundTrip(t *testing.T) {
 
 	parent := r.Begin(cmd("arm0", 1), PathSharded)
 	parent.Commit()
-	spec := r.BeginSpec(parent.R.Corr, cmd("arm0", 0))
+	spec := r.BeginSpec(parent.Corr().String(), cmd("arm0", 0))
 	spec.R.Verdict = Verdict{Source: SourceSpeculative, EpochAtValidation: 3}
 	spec.Commit()
 
@@ -129,7 +129,7 @@ func TestBundleRoundTrip(t *testing.T) {
 	trigger.R.TNS = 1000
 	trigger.R.Rules = []string{"GR1", "GR4"}
 	trigger.R.Pre = map[string]string{"arm0.pose": "home"}
-	trigger.R.Verdict = Verdict{Source: SourceSpeculative, EpochAtValidation: 3, SpecCorr: spec.R.Corr}
+	trigger.R.Verdict = Verdict{Source: SourceSpeculative, EpochAtValidation: 3, SpecCorr: spec.Corr().String()}
 	trigger.R.AlertKind = "invalid_trajectory"
 	trigger.R.Alert = "collision with hp00"
 	trigger.R.AlertTNS = 5000
@@ -156,7 +156,7 @@ func TestBundleRoundTrip(t *testing.T) {
 	if m.TNS != 5000 {
 		t.Fatalf("manifest TNS = %d, want alert time 5000", m.TNS)
 	}
-	want := []string{trigger.R.Corr, spec.R.Corr, parent.R.Corr}
+	want := []string{trigger.Corr().String(), spec.Corr().String(), parent.Corr().String()}
 	if len(m.Chain) != 3 || m.Chain[0] != want[0] || m.Chain[1] != want[1] || m.Chain[2] != want[2] {
 		t.Fatalf("chain = %v, want %v", m.Chain, want)
 	}
@@ -169,7 +169,7 @@ func TestBundleRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("trigger not in bundle")
 	}
-	if trig.Pre["arm0.pose"] != "home" || trig.Verdict.SpecCorr != spec.R.Corr {
+	if trig.Pre["arm0.pose"] != "home" || trig.Verdict.SpecCorr != spec.Corr().String() {
 		t.Fatalf("trigger round-trip lost data: %+v", trig)
 	}
 	if len(m.RuleIDs) != 2 || m.RuleIDs[0] != "GR1" {
@@ -214,7 +214,7 @@ func TestChainOmitsEvictedLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if chain := incs[0].Manifest.Chain; len(chain) != 1 || chain[0] != trigger.R.Corr {
+	if chain := incs[0].Manifest.Chain; len(chain) != 1 || chain[0] != trigger.Corr().String() {
 		t.Fatalf("chain = %v, want just the trigger", chain)
 	}
 }

@@ -39,6 +39,7 @@ func GenerateCorpus(seeds []int64) ([]Run, *config.Lab, error) {
 				return nil, nil, err
 			}
 			i := trace.NewInterceptor(nil, e)
+			i.SetLog(new(trace.Log))
 			s := workflow.NewSession(i, l)
 			s.Measure = e.MeasureSolubility
 			if err := workflow.RunSteps(s, v.steps()); err != nil {

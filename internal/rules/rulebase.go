@@ -187,13 +187,12 @@ func (rb *Rulebase) Validate(s state.View, cmd action.Command) []Violation {
 	return rb.ValidateObserved(s, cmd, nil, "")
 }
 
-// AppliedRuleIDs lists the IDs of the rules Validate evaluates for a
-// command — its label's indexed bucket filtered to matching devices.
-// The flight recorder stamps them into each command's record as the
-// provenance of its validation.
-func (rb *Rulebase) AppliedRuleIDs(cmd action.Command) []string {
+// AppendAppliedRuleIDs appends to out the IDs of the rules Validate
+// evaluates for a command — its label's indexed bucket filtered to
+// matching devices. The flight recorder stamps them into each command's
+// record as the provenance of its validation, reusing one buffer.
+func (rb *Rulebase) AppendAppliedRuleIDs(out []string, cmd action.Command) []string {
 	rs := rb.RulesFor(cmd.Action)
-	out := make([]string, 0, len(rs))
 	for _, r := range rs {
 		if r.matchesDevice(cmd) {
 			out = append(out, r.ID)

@@ -172,6 +172,21 @@ func (o *Overlay) RangeEdits(fn func(k Key, v Value, present bool) bool) {
 	}
 }
 
+// HasDeletes reports whether the overlay, or any overlay layer beneath
+// it, deletes a key — whether committing it can shrink the key set.
+func (o *Overlay) HasDeletes() bool {
+	for {
+		if len(o.dels) > 0 {
+			return true
+		}
+		base, ok := o.base.(*Overlay)
+		if !ok {
+			return false
+		}
+		o = base
+	}
+}
+
 // Materialize flattens any view into a standalone Snapshot.
 func Materialize(v View) Snapshot {
 	if s, ok := v.(Snapshot); ok {

@@ -269,6 +269,18 @@ func (v Value) String() string {
 // Snapshot is a point-in-time assignment of state variables.
 type Snapshot map[Key]Value
 
+// InsideOf returns the container the snapshot places inside a device —
+// GetString(ContainerInside(device)) — without building the key: the
+// lookup converts a stack buffer in place, so it allocates nothing.
+func (s Snapshot) InsideOf(device string) string {
+	var buf [64]byte
+	k := append(append(append(buf[:0], "containerInside["...), device...), ']')
+	if v, ok := s[Key(k)]; ok && v.Kind == KindString {
+		return v.S
+	}
+	return ""
+}
+
 // Clone deep-copies the snapshot.
 func (s Snapshot) Clone() Snapshot {
 	out := make(Snapshot, len(s))

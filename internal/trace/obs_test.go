@@ -62,7 +62,7 @@ func (c *seqChecker) After(action.Command) error { return nil }
 // stop right there, wrap the checker's error (errors.Is-visible), cite
 // the offending record, and never reach the remaining commands.
 func TestReplayStopsAtFirstBlocked(t *testing.T) {
-	rec := NewInterceptor(nil, &fakeExecutor{})
+	rec := logged(nil, &fakeExecutor{})
 	for i := 0; i < 4; i++ {
 		if err := rec.Do(cmdOpen()); err != nil {
 			t.Fatal(err)
@@ -71,7 +71,7 @@ func TestReplayStopsAtFirstBlocked(t *testing.T) {
 
 	sentinel := errors.New("mux conflict")
 	ex := &fakeExecutor{}
-	i := NewInterceptor(&seqChecker{blockSeq: 2, err: sentinel}, ex)
+	i := logged(&seqChecker{blockSeq: 2, err: sentinel}, ex)
 	err := Replay(i, rec.Records())
 	if err == nil {
 		t.Fatal("replay did not stop at the blocked command")
@@ -95,7 +95,7 @@ func TestInterceptorTelemetry(t *testing.T) {
 	reg := obs.NewRegistry("interceptor")
 	ch := &fakeChecker{}
 	ex := &fakeExecutor{}
-	i := NewInterceptor(ch, ex)
+	i := logged(ch, ex)
 	i.SetObserver(reg)
 
 	if err := i.Do(cmdOpen()); err != nil {
@@ -130,7 +130,7 @@ func TestInterceptorTelemetry(t *testing.T) {
 
 func TestDoConcurrentTelemetry(t *testing.T) {
 	reg := obs.NewRegistry("interceptor")
-	i := NewInterceptor(&fakeChecker{}, &fakeExecutor{})
+	i := logged(&fakeChecker{}, &fakeExecutor{})
 	i.SetObserver(reg)
 	cmds := []action.Command{
 		{Device: "a1", Action: action.MoveRobot, Target: geom.V(0.1, 0, 0.2)},
@@ -155,7 +155,7 @@ func TestDoConcurrentEmptyBatch(t *testing.T) {
 	reg := obs.NewRegistry("interceptor")
 	ch := &fakeChecker{}
 	ex := &fakeExecutor{}
-	i := NewInterceptor(ch, ex)
+	i := logged(ch, ex)
 	i.SetObserver(reg)
 	for _, batch := range [][]action.Command{nil, {}} {
 		if err := i.DoConcurrent(batch); err != nil {

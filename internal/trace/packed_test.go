@@ -76,13 +76,17 @@ func fullCommand() action.Command {
 // ok/blocked/invalid/execute-error/post-state-error, an execute error
 // whose post-state check also fails, DoLookahead, DoConcurrent ok,
 // blocked, crashed and invalid mid-batch (leaving gaps in seq), empty
-// string fields, and Reset followed by reuse. It returns the records
-// before and after the Reset, and the golden text: both traces as JSONL,
-// then the outcome/device counters.
-func runMixedTrace(t *testing.T) (before, after []Record, golden []byte) {
+// string fields, and Reset followed by reuse. withLog attaches a command
+// log. It returns the records before and after the Reset, Len at both
+// points, and the golden text: both traces as JSONL, then the
+// outcome/device counters.
+func runMixedTrace(t *testing.T, withLog bool) (before, after []Record, lens [2]int, golden []byte) {
 	t.Helper()
 	reg := obs.NewRegistry("packed")
 	i := NewInterceptor(scriptedChecker{}, &scriptedExecutor{})
+	if withLog {
+		i.SetLog(new(Log))
+	}
 	i.SetObserver(reg)
 	full := fullCommand()
 	with := func(obj string) action.Command { c := full; c.Object = obj; return c }
@@ -111,9 +115,9 @@ func runMixedTrace(t *testing.T) (before, after []Record, golden []byte) {
 	for _, step := range steps {
 		_ = step()
 	}
-	before = i.Records()
-	if i.Len() != len(before) {
-		t.Fatalf("Len() = %d, Records() holds %d", i.Len(), len(before))
+	before, lens[0] = i.Records(), i.Len()
+	if withLog && lens[0] != len(before) {
+		t.Fatalf("Len() = %d, Records() holds %d", lens[0], len(before))
 	}
 	i.Reset()
 	if i.Len() != 0 || len(i.Records()) != 0 {
@@ -126,7 +130,7 @@ func runMixedTrace(t *testing.T) (before, after []Record, golden []byte) {
 	} {
 		_ = step()
 	}
-	after = i.Records()
+	after, lens[1] = i.Records(), i.Len()
 
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, before); err != nil {
@@ -145,7 +149,7 @@ func runMixedTrace(t *testing.T) (before, after []Record, golden []byte) {
 	}
 	sort.Strings(lines)
 	buf.WriteString(strings.Join(lines, ""))
-	return before, after, buf.Bytes()
+	return before, after, lens, buf.Bytes()
 }
 
 // TestPackedTraceMatchesRecordLog checks the packed command log against
@@ -154,7 +158,7 @@ func runMixedTrace(t *testing.T) (before, after []Record, golden []byte) {
 // byte-identical, and Records() deep-equals the records read back from
 // it.
 func TestPackedTraceMatchesRecordLog(t *testing.T) {
-	before, after, got := runMixedTrace(t)
+	before, after, _, got := runMixedTrace(t, true)
 	const path = "testdata/mixed_trace.golden"
 	want, err := os.ReadFile(path)
 	if err != nil {
@@ -195,6 +199,24 @@ func TestPackedTraceMatchesRecordLog(t *testing.T) {
 	}
 	if after[0].Seq != 1 {
 		t.Errorf("first record after Reset has seq %d, want 1", after[0].Seq)
+	}
+}
+
+// TestUnloggedInterceptorKeepsCounters runs the mixed trace without a
+// command log: Records holds nothing, while Len and the outcome/device
+// counters are exactly those of the logging interceptor.
+func TestUnloggedInterceptorKeepsCounters(t *testing.T) {
+	logBefore, logAfter, logLens, logText := runMixedTrace(t, true)
+	before, after, lens, text := runMixedTrace(t, false)
+	if before != nil || after != nil {
+		t.Fatalf("unlogged interceptor kept %d+%d records", len(before), len(after))
+	}
+	if lens != logLens || lens[0] != len(logBefore) || lens[1] != len(logAfter) {
+		t.Fatalf("Len() = %v, logging interceptor %v", lens, logLens)
+	}
+	counters := func(b []byte) string { return string(b[bytes.Index(b, []byte("--- counters ---\n")):]) }
+	if counters(text) != counters(logText) {
+		t.Fatalf("counters differ:\n%s\nwant:\n%s", counters(text), counters(logText))
 	}
 }
 

@@ -130,6 +130,16 @@ func (t *internTable) unpack(e *entry) Record {
 	}
 }
 
+// Log is an interceptor's command trace, packed (see entry). An
+// interceptor keeps one only when a Log is attached (SetLog); without one
+// it keeps counters alone, so a long-lived interceptor — a gateway
+// session, a pooled campaign stack — holds flat memory however many
+// commands it serves. The zero Log is empty and ready to use.
+type Log struct {
+	entries  []entry
+	interned internTable
+}
+
 // Checker is the RABIT side of the interception: Before runs the Fig. 2
 // validation (lines 5–10) and returns an error to block the command;
 // After runs the post-state comparison (lines 13–15).
@@ -161,9 +171,10 @@ type Interceptor struct {
 	checker  Checker
 	executor Executor
 	seq      int
-	// log is the command trace, packed (see entry); Records unpacks it.
-	log      []entry
-	interned internTable
+	// n counts the records traced so far (Len); log, when attached,
+	// keeps them (Records unpacks it).
+	n   int
+	log *Log
 
 	// obs publishes per-command telemetry: the intercept and execute
 	// stage histograms and outcome counters (total and per device). All
@@ -211,6 +222,14 @@ func (i *Interceptor) SetRecorder(r *recorder.Recorder) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	i.rec = r
+}
+
+// SetLog attaches a command log (nil detaches it). Only an interceptor
+// with a log keeps its records for Records; Len counts them either way.
+func (i *Interceptor) SetLog(l *Log) {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	i.log = l
 }
 
 // SetTracer attaches a causal tracer (nil detaches it). It must be the
@@ -292,24 +311,13 @@ func (i *Interceptor) execute(root *otrace.Span, run func() error) error {
 }
 
 // finish closes one interception begun at start: the intercept stage
-// ends, the call's commands are unbound from the root span, and the
-// outcome counters count every record appended since mark (callers hold
-// i.mu).
-func (i *Interceptor) finish(root *otrace.Span, start time.Time, mark int, err error, cmds ...action.Command) {
+// ends and the call's commands are unbound from the root span (callers
+// hold i.mu).
+func (i *Interceptor) finish(root *otrace.Span, start time.Time, err error, cmds ...action.Command) {
 	stage(i.hIntercept, root, start, time.Now(), err)
 	if root != nil {
 		for _, cmd := range cmds {
 			i.tracer.Unbind(cmd.Device, cmd.Seq)
-		}
-	}
-	if i.obs == nil {
-		return
-	}
-	for k := range i.log[mark:] {
-		e := &i.log[mark+k]
-		i.obs.Counter(outcomeCounters[e.outcome]).Inc()
-		if e.device != 0 {
-			i.obs.Counter(obs.PrefixDevice + i.interned.str(e.device) + "." + outcomeNames[e.outcome]).Inc()
 		}
 	}
 }
@@ -335,12 +343,11 @@ func (i *Interceptor) do(cmd, next action.Command, lookahead bool) (err error) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	start := time.Now()
-	mark := len(i.log)
 	i.seq++
 	cmd.Seq = i.seq
 	i.lastExecNS = 0
 	root := i.rootSpan(cmd, start)
-	defer func() { i.finish(root, start, mark, err, cmd) }()
+	defer func() { i.finish(root, start, err, cmd) }()
 	if err := cmd.Validate(); err != nil {
 		i.record(cmd, outcomeError, err.Error())
 		return err
@@ -377,14 +384,24 @@ func (i *Interceptor) do(cmd, next action.Command, lookahead bool) (err error) {
 	return nil
 }
 
-// record appends a trace record and back-fills the command's black-box
-// record, if a flight recorder is attached (callers hold i.mu).
+// record counts a traced command's outcome, appends it to the log if one
+// is attached, and back-fills the command's black-box record if a flight
+// recorder is attached (callers hold i.mu).
 func (i *Interceptor) record(cmd action.Command, o outcome, detail string) {
-	var now time.Duration
-	if i.executor != nil {
-		now = i.executor.Now()
+	i.n++
+	if i.log != nil {
+		var now time.Duration
+		if i.executor != nil {
+			now = i.executor.Now()
+		}
+		i.log.entries = append(i.log.entries, i.log.interned.pack(cmd, now, o, detail))
 	}
-	i.log = append(i.log, i.interned.pack(cmd, now, o, detail))
+	if i.obs != nil {
+		i.obs.Counter(outcomeCounters[o]).Inc()
+		if cmd.Device != "" {
+			i.obs.Counter(obs.PrefixDevice + cmd.Device + "." + outcomeNames[o]).Inc()
+		}
+	}
 	i.rec.Annotate(cmd.Device, cmd.Seq, outcomeNames[o], i.lastExecNS)
 }
 
@@ -405,11 +422,10 @@ func (i *Interceptor) DoConcurrent(cmds []action.Command) (err error) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	start := time.Now()
-	mark := len(i.log)
 	i.lastExecNS = 0
 	var root *otrace.Span
 	stamped := make([]action.Command, 0, len(cmds))
-	defer func() { i.finish(root, start, mark, err, stamped...) }()
+	defer func() { i.finish(root, start, err, stamped...) }()
 	ce, ok := i.executor.(ConcurrentExecutor)
 	if !ok {
 		return fmt.Errorf("trace: executor cannot run concurrent commands")
@@ -467,31 +483,39 @@ func (i *Interceptor) DoConcurrent(cmds []action.Command) (err error) {
 	return nil
 }
 
-// Records returns a copy of the trace so far.
+// Records returns a copy of the trace so far: every record since the
+// attached log was last reset, none when no log is attached.
 func (i *Interceptor) Records() []Record {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	out := make([]Record, len(i.log))
-	for k := range i.log {
-		out[k] = i.interned.unpack(&i.log[k])
+	if i.log == nil {
+		return nil
+	}
+	out := make([]Record, len(i.log.entries))
+	for k := range i.log.entries {
+		out[k] = i.log.interned.unpack(&i.log.entries[k])
 	}
 	return out
 }
 
-// Len reports how many records the trace holds, without copying them.
+// Len reports how many records have been traced since the last Reset,
+// whether or not a log keeps them.
 func (i *Interceptor) Len() int {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	return len(i.log)
+	return i.n
 }
 
-// Reset clears the trace and sequence counter (between evaluation
-// runs), closing any open run trace so the next run starts a fresh one.
+// Reset clears the trace count, the attached log and the sequence
+// counter (between evaluation runs), closing any open run trace so the
+// next run starts a fresh one.
 func (i *Interceptor) Reset() {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	i.log = nil
-	i.interned = internTable{}
+	i.n = 0
+	if i.log != nil {
+		*i.log = Log{}
+	}
 	i.seq = 0
 	i.finishTraceLocked()
 }

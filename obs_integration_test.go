@@ -24,7 +24,7 @@ func TestTelemetryAgreesWithCheckOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.ReleaseObserver()
+	defer sys.Close()
 
 	if err := rabit.RunSteps(sys.Session, rabit.Fig5Workflow()); err != nil {
 		t.Fatalf("fig5 workflow: %v", err)

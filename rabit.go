@@ -327,6 +327,7 @@ func New(spec *config.LabSpec, o Options) (*System, error) {
 	}
 
 	sys.Interceptor = trace.NewInterceptor(checker, e)
+	sys.Interceptor.SetLog(new(trace.Log))
 	sys.Interceptor.SetObserver(reg)
 	sys.Interceptor.SetRecorder(sys.Recorder)
 	sys.Interceptor.SetTracer(sys.Tracer)
@@ -479,8 +480,3 @@ func (s *System) Trace() []trace.Record { return s.Interceptor.Records() }
 // ObsSnapshot captures the system's telemetry registry: stage latency
 // histograms, outcome/alert/violation counters, gauges.
 func (s *System) ObsSnapshot() obs.Snapshot { return s.Obs.Snapshot() }
-
-// ReleaseObserver removes the system's registry from its introspection
-// group — for programs that build many short-lived systems (the
-// evaluation harness) and do not want dead registries on /metrics.
-func (s *System) ReleaseObserver() { s.group.Unregister(s.Obs) }
